@@ -194,7 +194,7 @@ def main(argv=None) -> int:
     # jobs may precede or follow the subcommand; argparse handles the global flag
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatticeError as exc:

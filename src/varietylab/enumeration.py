@@ -23,7 +23,7 @@ from .models import (
     render_algebra,
     word_value_classes,
 )
-from .terms import Identity, Mode
+from .terms import Mode
 from .varieties import Variety
 
 MAX_ORDER = 4
@@ -273,11 +273,10 @@ def classify(report: EnumerationReport) -> dict:
 
 def _coincidence_gap(a: FiniteAlgebra, v: Variety, words):
     class_of = word_value_classes(a, words)
-    for u, w in itertools.combinations(words, 2):
-        sat = class_of[u] == class_of[w]
-        if sat != varieties.decide(v, Identity(u, w, Mode.IS)):
-            return f"{u} = {w}"
-    return None
+    _, _, pair = varieties.compare_partitions(
+        words, class_of.__getitem__, lambda w: varieties.key(v, w)
+    )
+    return None if pair is None else f"{pair[0]} = {pair[1]}"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import models, varieties
+from . import varieties
 from .varieties import Variety
 
 
@@ -189,25 +189,8 @@ class FiniteLattice:
 def build_lattice() -> FiniteLattice:
     """Compute the subvariety order from generators and bases, then insist it
     reproduces the expected 16 elements and 25 covers."""
-    recs = varieties.registry()
-    elems = tuple(rec.id for rec in recs)
-    n = len(elems)
-    leq = np.zeros((n, n), dtype=bool)
-    separations = {}
-    for i, vrec in enumerate(recs):
-        for j, wrec in enumerate(recs):
-            below = True
-            for gname in vrec.generators:
-                g = models.builtin(gname)
-                for ident in wrec.basis:
-                    res = models.satisfies(g, ident)
-                    if not res.holds:
-                        below = False
-                        separations[(vrec.id, wrec.id)] = (gname, ident, res.witness)
-                        break
-                if not below:
-                    break
-            leq[i, j] = below
+    elems = tuple(rec.id for rec in varieties.registry())
+    leq = [[varieties.generator_leq(v, w) for w in elems] for v in elems]
     lat = FiniteLattice(elems, leq)
     if len(lat.elements) != 16:
         raise LatticeError(f"expected 16 elements, built {len(lat.elements)}")
@@ -217,7 +200,6 @@ def build_lattice() -> FiniteLattice:
         raise LatticeError(f"unexpected cover {pair[0]} < {pair[1]}")
     for pair in sorted(expected - computed, key=str):
         raise LatticeError(f"missing cover {pair[0]} < {pair[1]}")
-    lat.separations = separations
     return lat
 
 

@@ -1,14 +1,14 @@
 """The sixteen named varieties: finite bases, generators, decision procedures.
 
-Every variety here is a join of up to three of the seven basic ones, so an
-identity holds in it iff it passes each component's syntactic test.  The
-tests are pure functions of content, last-occurrence sequence, length and
-square containment of the two sides.
-"""
+Every variety here is a join of up to three of the seven basic ones, each
+with a normal-form word key built from content, last-occurrence sequence,
+length and square containment.  An identity holds in a variety iff its two
+sides have the same tuple of component keys."""
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -51,7 +51,7 @@ class Variety(str, Enum):
 
 
 class Component(Enum):
-    """Per-join-component syntactic tests."""
+    """The seven basic varieties, as components of a join."""
 
     SL = "SL"
     B = "B"
@@ -67,7 +67,7 @@ class VarietyRecord:
     id: Variety
     basis: tuple
     generators: tuple
-    join_components: frozenset
+    join_components: tuple
 
 
 _BASIS_TEXTS = {
@@ -109,22 +109,22 @@ _GENERATORS = {
 }
 
 _COMPONENTS = {
-    Variety.T: frozenset(),
-    Variety.SL: frozenset({Component.SL}),
-    Variety.B: frozenset({Component.B}),
-    Variety.ZM: frozenset({Component.ZM}),
-    Variety.K: frozenset({Component.K}),
-    Variety.L: frozenset({Component.L}),
-    Variety.M: frozenset({Component.M}),
-    Variety.N: frozenset({Component.N}),
-    Variety.SL_ZM: frozenset({Component.SL, Component.ZM}),
-    Variety.SL_K: frozenset({Component.SL, Component.K}),
-    Variety.SL_L: frozenset({Component.SL, Component.L}),
-    Variety.SL_M: frozenset({Component.SL, Component.M}),
-    Variety.SL_N: frozenset({Component.SL, Component.N}),
-    Variety.B_ZM: frozenset({Component.B, Component.ZM}),
-    Variety.B_K: frozenset({Component.B, Component.K}),
-    Variety.IS: frozenset({Component.B, Component.N}),
+    Variety.T: (),
+    Variety.SL: (Component.SL,),
+    Variety.B: (Component.B,),
+    Variety.ZM: (Component.ZM,),
+    Variety.K: (Component.K,),
+    Variety.L: (Component.L,),
+    Variety.M: (Component.M,),
+    Variety.N: (Component.N,),
+    Variety.SL_ZM: (Component.SL, Component.ZM),
+    Variety.SL_K: (Component.SL, Component.K),
+    Variety.SL_L: (Component.SL, Component.L),
+    Variety.SL_M: (Component.SL, Component.M),
+    Variety.SL_N: (Component.SL, Component.N),
+    Variety.B_ZM: (Component.B, Component.ZM),
+    Variety.B_K: (Component.B, Component.K),
+    Variety.IS: (Component.B, Component.N),
 }
 
 
@@ -134,17 +134,24 @@ def registry() -> tuple:
     records = []
     for v in Variety:
         basis = tuple(parse_identity(text) for text in _BASIS_TEXTS[v])
-        rec = VarietyRecord(v, basis, _GENERATORS[v], _COMPONENTS[v])
-        for gname in rec.generators:
-            g = models.builtin(gname)
-            for ident in basis:
-                res = models.satisfies(g, ident)
-                if not res.holds:
-                    raise AssertionError(
-                        f"generator {gname} violates basis of {v}: {ident} at {res.witness}"
-                    )
-        records.append(rec)
+        failure = basis_failure(_GENERATORS[v], basis)
+        if failure is not None:
+            gname, ident, witness = failure
+            raise AssertionError(f"generator {gname} violates basis of {v}: {ident} at {witness}")
+        records.append(VarietyRecord(v, basis, _GENERATORS[v], _COMPONENTS[v]))
     return tuple(records)
+
+
+def basis_failure(generators, basis):
+    """The first (generator name, identity, witness) where a named generator
+    violates an identity of the basis, or None when all of them hold."""
+    for gname in generators:
+        g = models.builtin(gname)
+        for ident in basis:
+            res = models.satisfies(g, ident)
+            if not res.holds:
+                return gname, ident, res.witness
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -166,38 +173,31 @@ def variety_by_name(name: str) -> Variety:
 # Decision procedure
 
 
-def _is_commutative_law(u: Word, v: Word) -> bool:
-    # xy = yx up to renaming: two distinct letters, one side the reverse
-    s, t = u.symbols, v.symbols
-    return (
-        len(s) == 2 == len(t)
-        and OMEGA not in s
-        and s[0] != s[1]
-        and s[0] == t[1]
-        and s[1] == t[0]
-    )
-
-
 def _square_or_long(w: Word) -> bool:
     return contains_square(w) or length(w) >= 3
 
 
-def _component_holds(c: Component, u: Word, v: Word) -> bool:
-    if c is Component.SL:
-        return content(u) == content(v)
-    if c is Component.B:
-        return los(u) == los(v)
-    if c is Component.ZM:
-        return length(u) >= 2 and length(v) >= 2
-    if c is Component.K:
-        return _is_commutative_law(u, v) or (_square_or_long(u) and _square_or_long(v))
-    if c is Component.L:
-        return _square_or_long(u) and _square_or_long(v)
-    if c is Component.M:
-        return _is_commutative_law(u, v) or (length(u) >= 3 and length(v) >= 3)
-    if c is Component.N:
-        return length(u) >= 3 and length(v) >= 3
-    raise ValueError(f"unknown component {c!r}")
+def _short(w: Word, vanishes: bool, commutative: bool):
+    # None is the class of the words long enough to vanish; the rest are O-free
+    if vanishes:
+        return None
+    return "".join(sorted(w.symbols)) if commutative else w.symbols
+
+
+_COMPONENT_KEYS = {
+    Component.SL: content,
+    Component.B: los,
+    Component.ZM: lambda w: _short(w, length(w) >= 2, False),
+    Component.K: lambda w: _short(w, _square_or_long(w), True),
+    Component.L: lambda w: _short(w, _square_or_long(w), False),
+    Component.M: lambda w: _short(w, length(w) >= 3, True),
+    Component.N: lambda w: _short(w, length(w) >= 3, False),
+}
+
+
+def key(v: Variety, w: Word) -> tuple:
+    """Normal-form key of w in v: u = w holds in v iff key(v, u) == key(v, w)."""
+    return tuple(_COMPONENT_KEYS[c](w) for c in record(v).join_components)
 
 
 def decide(v: Variety, ident) -> bool:
@@ -206,10 +206,34 @@ def decide(v: Variety, ident) -> bool:
         ident = parse_identity(ident)
     if ident.mode is not Mode.IS:
         raise ValueError("decide works on associative-mode identities only")
-    if ident.lhs == ident.rhs:
-        return True
-    comps = record(v).join_components
-    return all(_component_holds(c, ident.lhs, ident.rhs) for c in comps)
+    return key(v, ident.lhs) == key(v, ident.rhs)
+
+
+def compare_partitions(words, key_a, key_b):
+    """Compare the partitions of words under two keys without visiting pairs.
+
+    Returns (only_a, only_b, pair): how many ordered pairs are equal under
+    key_a but not key_b and the reverse, by sums of squared block sizes, and
+    one such pair (of the first kind if any), or None if the keys agree."""
+    keys = [(key_a(w), key_b(w)) for w in words]
+    meet = _sum_squares(keys)
+    only_a = _sum_squares(ka for ka, _ in keys) - meet
+    only_b = _sum_squares(kb for _, kb in keys) - meet
+    return only_a, only_b, _split(words, keys, 0) or _split(words, keys, 1)
+
+
+def _sum_squares(labels) -> int:
+    return sum(n * n for n in Counter(labels).values())
+
+
+def _split(words, keys, side):
+    # the first two words that agree on keys[side] but not on the other key
+    first = {}
+    for w, k in zip(words, keys):
+        u, ku = first.setdefault(k[side], (w, k))
+        if ku != k:
+            return u, w
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +241,15 @@ def decide(v: Variety, ident) -> bool:
 
 
 @lru_cache(maxsize=None)
+def separation(v: Variety, w: Variety):
+    """Why v is not below w: the first (generator of v, basis identity of w,
+    witness) that fails, or None when v <= w."""
+    return basis_failure(record(v).generators, record(w).basis)
+
+
 def generator_leq(v: Variety, w: Variety) -> bool:
     """v <= w iff every generator of v satisfies every basis identity of w."""
-    return all(
-        models.satisfies(models.builtin(g), ident).holds
-        for g in record(v).generators
-        for ident in record(w).basis
-    )
+    return separation(v, w) is None
 
 
 def variety_of(a: models.FiniteAlgebra) -> Variety:

@@ -55,9 +55,13 @@ def test_oracle_iz_mode(capsys):
     assert code == 0 and out.startswith("FAILS")
 
 
-def test_oracle_missing_algebra(capsys):
+def test_oracle_missing_algebra(capsys, tmp_path):
     code, _, err = run(capsys, ["oracle", "builtin:nope", "x = x"])
     assert code == 2 and "unknown builtin" in err
+    # a directory is an unreadable algebra file, not a crash
+    for argv in (["oracle", str(tmp_path), "x = x"], ["variety-of", str(tmp_path)]):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and err.startswith("error:")
 
 
 def test_variety_of(capsys):
@@ -108,9 +112,11 @@ def test_replay_pass_and_fail(capsys, tmp_path):
     assert code == 1 and out.startswith("FAIL")
 
 
-def test_replay_missing_file(capsys):
+def test_replay_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["replay", "no-such-file.script"])
     assert code == 2
+    code, _, err = run(capsys, ["replay", str(tmp_path)])
+    assert code == 2 and err.startswith("error:")
 
 
 def test_unknown_command():

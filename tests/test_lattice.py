@@ -56,8 +56,12 @@ def test_lattice_laws_exhaustive(lat):
 
 def test_separation_witnesses_cover_every_non_leq_pair(lat):
     for v, w in itertools.product(lat.elements, repeat=2):
-        if not lat.leq(v, w):
-            gname, ident, witness = lat.separations[(v, w)]
+        if lat.leq(v, w):
+            assert varieties.separation(v, w) is None
+        else:
+            gname, ident, witness = varieties.separation(v, w)
+            assert gname in varieties.record(v).generators
+            assert ident in varieties.record(w).basis
             res = models.satisfies(models.builtin(gname), ident)
             assert not res.holds and res.witness == witness
 

@@ -1,15 +1,21 @@
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from varietylab import models
+from varietylab import models, verify
 from varietylab.terms import Mode, Word, normalize_is, parse_identity, substitute
 from varietylab.varieties import (
+    _COMPONENT_KEYS,
+    Component,
     Variety,
+    compare_partitions,
     decide,
     exhaustive_identity_words,
     generator_leq,
+    key,
     record,
     registry,
     variety_by_name,
@@ -143,3 +149,64 @@ def test_variety_of_rejects_non_algebra():
 
 def test_exhaustive_word_count():
     assert len(exhaustive_identity_words()) == 340
+
+
+# ---------------------------------------------------------------------------
+# Normal-form keys and partition comparison
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12))
+def test_compare_partitions_matches_pairwise_count(labels):
+    words = list(range(len(labels)))
+    key_a, key_b = (lambda w: labels[w][0]), (lambda w: labels[w][1])
+    only_a, only_b, pair = compare_partitions(words, key_a, key_b)
+    pairs = list(itertools.product(words, repeat=2))
+    assert only_a == sum(key_a(u) == key_a(w) and key_b(u) != key_b(w) for u, w in pairs)
+    assert only_b == sum(key_b(u) == key_b(w) and key_a(u) != key_a(w) for u, w in pairs)
+    if only_a == only_b == 0:
+        assert pair is None
+    else:
+        u, w = pair
+        assert (key_a(u) == key_a(w)) != (key_b(u) == key_b(w))
+        assert key_a(u) == key_a(w) or not only_a
+
+
+def _generator_oracles(words):
+    """Per variety, word -> the tuple of its value classes in v's generators."""
+    names = {g for v in Variety for g in record(v).generators}
+    classes = {g: models.word_value_classes(models.builtin(g), words) for g in names}
+    return {
+        v: (lambda w, gens=record(v).generators: tuple(classes[g][w] for g in gens))
+        for v in Variety
+    }
+
+
+def test_keys_match_generators_up_to_length_six():
+    words = exhaustive_identity_words(max_length=6)
+    assert len(words) == 5460
+    for v, classes in _generator_oracles(words).items():
+        got = compare_partitions(words, lambda w: key(v, w), classes)
+        assert got == (0, 0, None), v
+
+
+def test_check_06_counts_a_planted_fault(monkeypatch):
+    # M's key forgets the commutative law xy = yx
+    monkeypatch.setitem(_COMPONENT_KEYS, Component.M, _COMPONENT_KEYS[Component.N])
+    words = exhaustive_identity_words()
+    expected = 0
+    for v, classes in _generator_oracles(words).items():
+        keys = {w: key(v, w) for w in words}
+        values = {w: classes(w) for w in words}
+        expected += sum(
+            (keys[u] == keys[w]) != (values[u] == values[w])
+            for u, w in itertools.product(words, repeat=2)
+        )
+    assert expected == 12
+    res = verify.check_06_decision_oracle_equivalence()
+    assert not res.passed
+    found = re.search(r"discrepancies=(\d+) first=(\S+): (\S+) = (\S+)$", res.detail)
+    assert int(found.group(1)) == expected
+    v, u, w = Variety(found.group(2)), found.group(3), found.group(4)
+    identity = parse_identity(f"{u} = {w}")
+    assert decide(v, identity) != oracle(v, identity)
