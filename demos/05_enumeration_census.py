@@ -1,8 +1,9 @@
 """Census of all small algebras, one representative per isomorphism class.
 
 The search pins the constant at index 0, fills the table with backtracking,
-prunes on every determinable axiom instance, and deduplicates by canonical
-form.  In flat mode each survivor is classified into its least variety.
+prunes on every determinable axiom instance, skips most isomorphic copies by
+the least-number heuristic, and deduplicates the rest by canonical form.  In
+flat mode each survivor is classified into its least variety.
 """
 
 from varietylab import Mode, builtin, canonical_form, enumerate_algebras, render_algebra

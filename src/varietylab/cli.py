@@ -72,6 +72,10 @@ def cmd_variety_of(args) -> int:
 
 def cmd_lattice(args) -> int:
     lat = build_lattice()
+    if args.dot:
+        # written before the report, so a bad path leaves stdout empty
+        with open(args.dot, "w", encoding="utf-8") as handle:
+            handle.write(lat.to_dot())
     pent = find_n5(lat)
     distributive = is_distributive(lat)[0]
     zero_dist = is_zero_distributive(lat)[0]
@@ -86,8 +90,6 @@ def cmd_lattice(args) -> int:
     if pent is not None:
         print(f"pentagon=o:{pent.o} a:{pent.a} b:{pent.b} c:{pent.c} i:{pent.i}")
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(lat.to_dot())
         print(f"dot={args.dot}")
     return 0
 

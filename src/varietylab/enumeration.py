@@ -1,19 +1,42 @@
 """Exhaustive generation of small algebras up to isomorphism.
 
-Tables are filled cell by cell with backtracking.  The distinguished element
-is pinned at index 0 (isomorphisms preserve it, so no class is lost) and
-every axiom instance whose reads are all defined is checked on the fly.
-Associative mode prunes harder through two facts provable from its axioms
-alone (the bundled derivations replay the proofs): the constant is a central
-idempotent, so cell (0,0) is 0 and row 0 equals column 0.  Tree mode prunes
-only on instances of its two axioms.
+Tables are filled cell by cell with backtracking, row 0 and column 0 first.
+The distinguished element is pinned at index 0 (isomorphisms preserve it, so
+no class is lost).
+
+Each axiom instance (an axiom with elements bound to its variables) is a
+short program of table lookups.  A search node receives from its parent the
+instances that still read an undefined cell.  It resumes only those whose
+next lookup is the cell just set, passes on the ones still undetermined,
+drops the ones now satisfied and prunes on a violation.  That is sound because an
+instance that is determined and satisfied stays so in every extension, and
+backtracking needs no undo because the parent's list is never changed.  In
+associative mode the instances are associativity, the defining identity and
+two facts provable from those axioms alone (the bundled derivations replay
+the proofs): the constant is a central idempotent, so cell (0,0) is 0 and
+row 0 equals column 0.  In tree mode they are the main identity and 0'' = 0.
+
+Isomorphic copies are cut by the least-number heuristic of SEM (Zhang and
+Zhang, IJCAI 1995).  Let mdn be the largest element that occurs so far as a
+cell index or an assigned value.  Elements above max(mdn, i, j) are then
+interchangeable, so cell (i, j) tries values only up to that bound plus one.
+
+A complete table is checked once more by `models.check_axioms`, which is
+independent of the search.  `SearchStats` counts the values tried, the
+prunes, the complete tables and those the leaf check rejected.  Several
+workers walk the same tree as one: it is cut after row 0 and column 0, and
+each node there is one chunk.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import multiprocessing
+import operator
+import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import varieties
 from .models import (
@@ -35,6 +58,7 @@ class EnumerationReport:
     mode: Mode
     algebras: tuple
     per_variety: dict | None = None
+    stats: SearchStats | None = None
 
     @property
     def count(self) -> int:
@@ -73,91 +97,61 @@ def algebra_from_canonical(blob: bytes) -> FiniteAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Partial-table constraint checks
+# Search engine
+#
+# A law is a pair of terms over registers: register 0 holds the constant,
+# 1, 2, 3 the variables x, y, z, and a pair (s, u) is the product s·u
+# (s > u in tree mode).  A law compiles to a program: steps (a, b), each
+# appending the product of registers a and b, and the registers of its two
+# sides.  An undetermined instance is (left, registers, program), where the
+# first of the last `left` steps reads an undefined cell.  Nothing about the
+# instance changes until that cell is set, so pending instances are kept in
+# one list per cell, indexed by its rank in the fill order.  Each list is
+# sorted, fewest steps left first, so that a failing instance tends to be
+# met early.
+
+O, X, Y, Z = 0, 1, 2, 3
+
+_LAWS = {
+    Mode.IS: (
+        (((X, Y), Z), (X, (Y, Z))),  # associativity
+        (((X, Y), Z), ((((((Z, O), X), Y), Z), O), O)),  # xyz = zOxyzOO
+        ((O, O), O),  # O is an idempotent ...
+        ((O, X), (X, O)),  # ... and central (derived, see the module doc)
+    ),
+    Mode.IZ: (
+        (((X, Y), Z), ((((Z, O), X), ((Y, Z), O)), O)),  # (x>y)>z = ((z'>x)>(y>z)')'
+        (((O, O), O), O),  # 0'' = 0
+    ),
+}
 
 
-def _partial_ok_is(t, n) -> bool:
-    # omega is a central idempotent in every valid table; prune early
-    if t[0][0] is not None and t[0][0] != 0:
-        return False
-    for i in range(1, n):
-        if t[0][i] is not None and t[i][0] is not None and t[0][i] != t[i][0]:
-            return False
-    # omega cubed folds to omega (subsumed by the pinned cell, kept explicit)
-    c = t[0][0]
-    if c is not None and t[c][0] is not None and t[c][0] != 0:
-        return False
-    rng = range(n)
-    for x in rng:
-        tx = t[x]
-        for y in rng:
-            xy = tx[y]
-            if xy is None:
-                continue
-            for z in rng:
-                yz = t[y][z]
-                if yz is None:
-                    continue
-                lhs = t[xy][z]
-                rhs = tx[yz]
-                if lhs is not None and rhs is not None and lhs != rhs:
-                    return False
-    # defining identity: xyz = z O x y z O O, checked where determined
-    for x in rng:
-        for y in rng:
-            xy = t[x][y]
-            if xy is None:
-                continue
-            for z in rng:
-                lhs = t[xy][z]
-                if lhs is None:
-                    continue
-                acc = t[z][0]
-                ok = True
-                for v in (x, y, z, 0, 0):
-                    if acc is None:
-                        ok = False
-                        break
-                    acc = t[acc][v]
-                if ok and acc is not None and acc != lhs:
-                    return False
-    return True
+class SearchStats(NamedTuple):
+    """What one walk of the search tree did."""
+
+    nodes: int  # values tried at a cell
+    prunes: int  # values an instance rejected
+    leaves: int  # complete tables handed to check_axioms
+    leaf_rejects: int  # complete tables check_axioms rejected
 
 
-def _partial_ok_iz(t, n) -> bool:
-    # 0'' = 0 as soon as both reads exist; everything else comes from the
-    # main identity's instances, so no derived fact is assumed here
-    c = t[0][0]
-    if c is not None:
-        if t[c][0] is not None and t[c][0] != 0:
-            return False
-    rng = range(n)
-    for x in rng:
-        for y in rng:
-            xy = t[x][y]
-            if xy is None:
-                continue
-            for z in rng:
-                lhs = t[xy][z]
-                if lhs is None:
-                    continue
-                zp = t[z][0]
-                if zp is None:
-                    continue
-                left = t[zp][x]
-                yz = t[y][z]
-                if left is None or yz is None:
-                    continue
-                yzp = t[yz][0]
-                if yzp is None:
-                    continue
-                mid = t[left][yzp]
-                if mid is None:
-                    continue
-                rhs = t[mid][0]
-                if rhs is not None and rhs != lhs:
-                    return False
-    return True
+def _atoms(term) -> tuple:
+    return (term,) if isinstance(term, int) else _atoms(term[0]) + _atoms(term[1])
+
+
+def _compile(law):
+    """(arity, steps, lhs register, rhs register) of a law."""
+    arity = max(_atoms(law))
+    steps = []
+
+    def emit(term):
+        if isinstance(term, int):
+            return term
+        steps.append((emit(term[0]), emit(term[1])))
+        return arity + len(steps)
+
+    lhs, rhs = emit(law[0]), emit(law[1])
+    return arity, tuple(steps), lhs, rhs
 
 
 def _cell_order(n: int):
@@ -171,38 +165,91 @@ def _cell_order(n: int):
     return cells
 
 
-def _search(order: int, mode: Mode, row0=None):
-    """Yield all full tables (distinguished pinned at 0) passing the axioms."""
-    n = order
-    check = _partial_ok_is if mode is Mode.IS else _partial_ok_iz
-    t = [[None] * n for _ in range(n)]
-    cells = _cell_order(n)
-    if row0 is not None:
-        for j, v in enumerate(row0):
-            t[0][j] = v
-        if not check(t, n):
-            return
-        cells = [(i, j) for (i, j) in cells if i != 0]
+def _root(n: int, mode: Mode, rank):
+    """The root node: depth, empty table, every instance, largest element used."""
+    pending = [[] for _ in range(n * n)]
+    for law in _LAWS[mode]:
+        arity, steps, lhs, rhs = _compile(law)
+        a, b = steps[0]
+        for values in itertools.product(range(n), repeat=arity):
+            regs = (0, *values)
+            pending[rank[regs[a]][regs[b]]].append((len(steps), regs, (steps, lhs, rhs)))
+    return 0, ((None,) * n,) * n, [sorted(due) for due in pending], 0
 
-    def fill(k):
+
+def _propagate(pending, k, t, rank):
+    """The instances still undetermined once the cell of rank k is set, or
+    None if one fails.  `pending` and its lists are not changed."""
+    moved = []
+    for left, regs, program in pending[k]:
+        steps, lhs, rhs = program
+        regs = list(regs)
+        for done, (a, b) in enumerate(steps[len(steps) - left:]):
+            x, y = regs[a], regs[b]
+            value = t[x][y]
+            if value is None:
+                moved.append((rank[x][y], (left - done, tuple(regs), program)))
+                break
+            regs.append(value)
+        else:
+            if regs[lhs] != regs[rhs]:
+                return None
+    kept = pending.copy()
+    for r, inst in moved:
+        if kept[r] is pending[r]:
+            kept[r] = pending[r].copy()
+        bisect.insort(kept[r], inst)
+    return kept
+
+
+def _search(order: int, mode: Mode, node=None, stop=None):
+    """Walk the search tree below `node` (the root when None).  Return the
+    nodes reached at depth `stop` or, with no stop, the complete tables that
+    pass check_axioms; and the walk's SearchStats."""
+    n = order
+    cells = _cell_order(n)
+    rank = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(cells):
+        rank[i][j] = k
+    depth, table, pending, mdn = _root(n, mode, rank) if node is None else node
+    t = [list(row) for row in table]
+    out = []
+    nodes = prunes = leaves = leaf_rejects = 0
+
+    def walk(k, pending, mdn):
+        nonlocal nodes, prunes, leaves, leaf_rejects
+        if k == stop:
+            out.append((k, tuple(map(tuple, t)), pending, mdn))
+            return
         if k == len(cells):
-            table = tuple(tuple(row) for row in t)
+            leaves += 1
+            table = tuple(map(tuple, t))
             if check_axioms(make_algebra(table, 0), mode).passed:
-                yield table
+                out.append(table)
+            else:
+                leaf_rejects += 1
             return
         i, j = cells[k]
-        for v in range(n):
+        # least-number heuristic: the elements above max(mdn, i, j) are
+        # interchangeable so far, so only the first of them is tried
+        for v in range(min(n - 1, max(mdn, i, j) + 1) + 1):
+            nodes += 1
             t[i][j] = v
-            if check(t, n):
-                yield from fill(k + 1)
-            t[i][j] = None
+            kept = _propagate(pending, k, t, rank)
+            if kept is None:
+                prunes += 1
+            else:
+                walk(k + 1, kept, max(mdn, i, j, v))
+        t[i][j] = None
 
-    yield from fill(0)
+    walk(depth, pending, mdn)
+    return out, SearchStats(nodes, prunes, leaves, leaf_rejects)
 
 
 def _solve_chunk(args):
-    order, mode, row0 = args
-    return [canonical_form(make_algebra(table, 0)) for table in _search(order, mode, row0)]
+    order, mode, node = args
+    tables, stats = _search(order, mode, node)
+    return [canonical_form(make_algebra(table, 0)) for table in tables], stats
 
 
 _cache: dict = {}
@@ -219,8 +266,8 @@ def enumerate_algebras(order: int, mode: Mode, jobs: int = 1) -> EnumerationRepo
     mode = Mode(mode)
     key = (order, mode)
     if key not in _cache:
-        _cache[key] = _enumerate(order, mode, jobs)
-    blobs = _cache[key]
+        _cache[key] = _census(order, mode, jobs)
+    blobs, stats = _cache[key]
     algebras = tuple(algebra_from_canonical(b) for b in blobs)
     per_variety = None
     if mode is Mode.IS:
@@ -228,20 +275,31 @@ def enumerate_algebras(order: int, mode: Mode, jobs: int = 1) -> EnumerationRepo
         for a in algebras:
             v = varieties.variety_of(a)
             per_variety[v] = per_variety.get(v, 0) + 1
-    return EnumerationReport(order, mode, algebras, per_variety)
+    return EnumerationReport(order, mode, algebras, per_variety, stats)
+
+
+def _census(order: int, mode: Mode, jobs: int) -> tuple:
+    """Sorted canonical blobs and the summed SearchStats.  The tree is cut
+    after row 0 and column 0 (the first 2n-1 cells) and the nodes there are
+    walked as chunks, in worker processes when more than one is useful."""
+    frontier, stats = _search(order, mode, stop=2 * order - 1)
+    chunks = [(order, mode, node) for node in frontier]
+    jobs = min(jobs, os.cpu_count() or 1, len(chunks))
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            parts = pool.map(_solve_chunk, chunks)
+    else:
+        parts = map(_solve_chunk, chunks)
+    blobs = set()
+    for chunk_blobs, chunk_stats in parts:
+        blobs.update(chunk_blobs)
+        stats = SearchStats(*map(operator.add, stats, chunk_stats))
+    return tuple(sorted(blobs)), stats
 
 
 def _enumerate(order: int, mode: Mode, jobs: int) -> tuple:
-    if jobs > 1 and order > 1:
-        rows = [(order, mode, row0) for row0 in itertools.product(range(order), repeat=order)]
-        with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(_solve_chunk, rows)
-        blobs = {blob for chunk in chunks for blob in chunk}
-    else:
-        blobs = {
-            canonical_form(make_algebra(table, 0)) for table in _search(order, mode)
-        }
-    return tuple(sorted(blobs))
+    """The sorted canonical blobs of a fresh, uncached census."""
+    return _census(order, mode, jobs)[0]
 
 
 def clear_cache():

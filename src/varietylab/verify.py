@@ -387,12 +387,15 @@ def invariant_substitution_closure(seed: int, samples: int = 1000) -> CheckResul
     failures = 0
     first = None
     for v in Variety:
-        checked = 0
-        while checked < samples:
-            u, w = rng.choice(words), rng.choice(words)
+        # a holding pair, drawn directly: a block of key(v, .) with weight
+        # |block|^2 (its share of the holding ordered pairs), then u and w in it
+        blocks = {}
+        for word in words:
+            blocks.setdefault(varieties.key(v, word), []).append(word)
+        blocks = list(blocks.values())
+        for block in rng.choices(blocks, [len(b) ** 2 for b in blocks], k=samples):
+            u, w = rng.choice(block), rng.choice(block)
             ident = Identity(u, w, Mode.IS)
-            if not decide(v, ident):
-                continue
             sub = {
                 letter: Word(
                     "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
@@ -404,7 +407,6 @@ def invariant_substitution_closure(seed: int, samples: int = 1000) -> CheckResul
                 failures += 1
                 if first is None:
                     first = f"{v}: {ident} -> {image}"
-            checked += 1
     detail = f"samples={samples}/variety failures={failures}"
     if first:
         detail += f" first={first}"

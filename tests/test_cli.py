@@ -82,6 +82,9 @@ def test_lattice_report(capsys, tmp_path):
     assert "atoms=SL,ZM" in out
     text = dot.read_text(encoding="utf-8")
     assert text.count("->") == 25 and '"SL+N" -> "IS";' in text
+    # a directory as the dot path: a usage error, and no half-printed report
+    code, out, err = run(capsys, ["lattice", "--dot", str(tmp_path)])
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_enumerate_command(capsys):

@@ -1,10 +1,15 @@
+import hashlib
 import itertools
+import multiprocessing
+import os
 
 import pytest
 
 from varietylab import models
 from varietylab.enumeration import (
     EnumerationReport,
+    SearchStats,
+    _census,
     _enumerate,
     canonical_form,
     classify,
@@ -84,8 +89,10 @@ def test_canonical_form_examples():
 
 
 def test_parallel_matches_sequential():
-    assert _enumerate(3, Mode.IS, jobs=2) == _enumerate(3, Mode.IS, jobs=1)
-    assert _enumerate(3, Mode.IZ, jobs=2) == _enumerate(3, Mode.IZ, jobs=1)
+    # blobs and search counts alike: every worker count walks one tree
+    assert _census(3, Mode.IS, 2) == _census(3, Mode.IS, 1)
+    assert _census(3, Mode.IZ, 2) == _census(3, Mode.IZ, 1)
+    assert _census(4, Mode.IS, 2) == _census(4, Mode.IS, 1)
 
 
 @pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
@@ -93,6 +100,64 @@ def test_parallel_matches_sequential():
 def test_census_matches_naive_oracle(order, mode):
     # validates both the pruning and pinning the constant at index 0
     assert brute_force_census(order, mode) == _enumerate(order, mode, 1)
+
+
+# sha256 of the joined canonical blobs, taken from the full-scan engine that
+# preceded the incremental one (no symmetry breaking, every leaf kept)
+ORDER_FOUR_DIGESTS = {
+    Mode.IS: (26, "7ebb6a182e5d092df872443079b54fc82d3e5ed034e98e2808ea4c23ae21e1b6"),
+    Mode.IZ: (249, "02fbef5b31c99245df78863a6c8b774cfb482776aa323a174ead050fa3314845"),
+}
+
+
+@pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
+def test_order_four_census_matches_pinned_digest(mode):
+    blobs = _enumerate(4, mode, 1)
+    assert (len(blobs), hashlib.sha256(b"".join(blobs)).hexdigest()) == ORDER_FOUR_DIGESTS[mode]
+
+
+@pytest.mark.parametrize(
+    "mode, stats",
+    [
+        (Mode.IS, SearchStats(nodes=2847, prunes=2023, leaves=112, leaf_rejects=0)),
+        (Mode.IZ, SearchStats(nodes=168888, prunes=125636, leaves=1029, leaf_rejects=0)),
+    ],
+)
+def test_order_four_search_counts(mode, stats):
+    # the leaf check_axioms never rejects a table the instance checks let
+    # through; the other counts pin the pruning and the symmetry breaking
+    assert enumerate_algebras(4, mode).stats == stats
+
+
+def test_jobs_clamped_to_cpus_and_chunks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the process count asked for and maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    serial = _census(3, Mode.IZ, 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _census(3, Mode.IZ, 1000) == serial
+    assert sizes == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _census(3, Mode.IZ, 1000) == serial
+    # associative order 2 has two chunks: cell (0,0) is 0, (0,1) = (1,0) in {0, 1}
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _census(2, Mode.IS, 1000) == _census(2, Mode.IS, 1)
+    assert sizes == [3, 2]
 
 
 def test_classify_small_orders():

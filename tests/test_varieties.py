@@ -210,3 +210,15 @@ def test_check_06_counts_a_planted_fault(monkeypatch):
     v, u, w = Variety(found.group(2)), found.group(3), found.group(4)
     identity = parse_identity(f"{u} = {w}")
     assert decide(v, identity) != oracle(v, identity)
+
+
+def test_substitution_closure_catches_a_planted_fault(monkeypatch):
+    # SL's key counts letters instead of naming them, which substitution breaks
+    monkeypatch.setitem(_COMPONENT_KEYS, Component.SL, lambda w: len(str(w)))
+    res = verify.invariant_substitution_closure(seed=3, samples=50)
+    assert not res.passed
+    found = re.search(r"failures=(\d+) first=(\S+): (.+ = .+) -> (.+ = .+)$", res.detail)
+    assert int(found.group(1)) > 0
+    v = Variety(found.group(2))
+    assert decide(v, parse_identity(found.group(3)))
+    assert not decide(v, parse_identity(found.group(4)))
