@@ -25,7 +25,7 @@ A complete table is checked once more by `models.check_axioms`, which is
 independent of the search.  `SearchStats` counts the values tried, the
 prunes, the complete tables and those the leaf check rejected.  Several
 workers walk the same tree as one: it is cut after row 0 and column 0, and
-each node there is one chunk.
+each node there is one chunk; a single worker walks it uncut.
 """
 
 from __future__ import annotations
@@ -279,12 +279,17 @@ def enumerate_algebras(order: int, mode: Mode, jobs: int = 1) -> EnumerationRepo
 
 
 def _census(order: int, mode: Mode, jobs: int) -> tuple:
-    """Sorted canonical blobs and the summed SearchStats.  The tree is cut
-    after row 0 and column 0 (the first 2n-1 cells) and the nodes there are
-    walked as chunks, in worker processes when more than one is useful."""
+    """Sorted canonical blobs and the summed SearchStats.  One worker walks
+    the whole tree at once.  For more, the tree is cut after row 0 and
+    column 0 (the first 2n-1 cells) and the nodes there are walked as
+    chunks, in worker processes when more than one is useful."""
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs == 1:
+        blobs, stats = _solve_chunk((order, mode, None))
+        return tuple(sorted(set(blobs))), stats
     frontier, stats = _search(order, mode, stop=2 * order - 1)
     chunks = [(order, mode, node) for node in frontier]
-    jobs = min(jobs, os.cpu_count() or 1, len(chunks))
+    jobs = min(jobs, len(chunks))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.map(_solve_chunk, chunks)

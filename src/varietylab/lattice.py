@@ -8,10 +8,10 @@ against.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections import namedtuple
-
-import numpy as np
 
 from . import varieties
 from .varieties import Variety
@@ -53,12 +53,22 @@ EXPECTED_COVERS = (
 N5 = namedtuple("N5", "o a b c i")
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class FiniteLattice:
     """Immutable finite lattice over hashable element labels.
 
-    ``leq[i, j]`` means element i is below element j.  Join and meet tables
-    are computed eagerly; construction fails if any pair lacks a unique
-    least upper or greatest lower bound.
+    ``leq[i][j]`` means element i is below element j.  The order is kept as
+    int bitsets: bit j of ``_up[i]`` (and bit i of ``_down[j]``) is set iff
+    element i is below element j.  Join and meet tables are computed
+    eagerly; construction fails if any pair lacks a unique least upper or
+    greatest lower bound.
     """
 
     def __init__(self, elements, leq):
@@ -66,42 +76,48 @@ class FiniteLattice:
         n = len(self.elements)
         if len(set(self.elements)) != n:
             raise LatticeError("duplicate elements")
-        leq = np.asarray(leq, dtype=bool)
-        if leq.shape != (n, n):
+        rows = [tuple(map(bool, row)) for row in leq]
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise LatticeError(f"order matrix must be {n}x{n}")
+        up = [sum(1 << j for j, below in enumerate(row) if below) for row in rows]
         for i in range(n):
-            if not leq[i, i]:
+            if not up[i] >> i & 1:
                 raise LatticeError(f"not reflexive at {self.elements[i]}")
         for i, j in itertools.product(range(n), repeat=2):
-            if i != j and leq[i, j] and leq[j, i]:
+            if i != j and up[i] >> j & 1 and up[j] >> i & 1:
                 raise LatticeError(
                     f"not antisymmetric at ({self.elements[i]}, {self.elements[j]})"
                 )
-            if leq[i, j]:
-                for k in range(n):
-                    if leq[j, k] and not leq[i, k]:
-                        raise LatticeError(
-                            f"not transitive at ({self.elements[i]}, "
-                            f"{self.elements[j]}, {self.elements[k]})"
-                        )
-        leq.setflags(write=False)
-        self._leq = leq
+            if up[i] >> j & 1 and up[j] & ~up[i]:
+                k = next(_bits(up[j] & ~up[i]))
+                raise LatticeError(
+                    f"not transitive at ({self.elements[i]}, "
+                    f"{self.elements[j]}, {self.elements[k]})"
+                )
+        self._up = tuple(up)
+        self._down = tuple(
+            sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)
+        )
         self._index = {e: i for i, e in enumerate(self.elements)}
-        strict = leq & ~np.eye(n, dtype=bool)
-        self._covers = strict & ~(strict @ strict)
-        self._join = np.empty((n, n), dtype=int)
-        self._meet = np.empty((n, n), dtype=int)
-        for i, j in itertools.product(range(n), repeat=2):
-            self._join[i, j] = self._bound(leq, i, j, upper=True)
-            self._meet[i, j] = self._bound(leq, i, j, upper=False)
+        strict = [up[i] & ~(1 << i) for i in range(n)]
+        self._covers = tuple(
+            s & ~functools.reduce(operator.or_, (strict[k] for k in _bits(s)), 0)
+            for s in strict
+        )
+        self._join = tuple(
+            tuple(self._bound(self._up, i, j, upper=True) for j in range(n))
+            for i in range(n)
+        )
+        self._meet = tuple(
+            tuple(self._bound(self._down, i, j, upper=False) for j in range(n))
+            for i in range(n)
+        )
 
-    def _bound(self, leq, i, j, upper):
-        if upper:
-            mask = leq[i] & leq[j]
-            candidates = [k for k in np.flatnonzero(mask) if (leq[k] | ~mask).all()]
-        else:
-            mask = leq[:, i] & leq[:, j]
-            candidates = [k for k in np.flatnonzero(mask) if (leq[:, k] | ~mask).all()]
+    def _bound(self, cone, i, j, upper):
+        # the common bounds of i and j, cone[k] being k's up-set (upper) or
+        # down-set; the least (greatest) one has all the others in its cone
+        mask = cone[i] & cone[j]
+        candidates = [k for k in _bits(mask) if not mask & ~cone[k]]
         if len(candidates) != 1:
             kind = "least upper" if upper else "greatest lower"
             raise LatticeError(
@@ -116,64 +132,66 @@ class FiniteLattice:
         return self._index[x]
 
     def leq(self, x, y) -> bool:
-        return bool(self._leq[self._index[x], self._index[y]])
+        return bool(self._up[self._index[x]] >> self._index[y] & 1)
 
     def join(self, x, y):
-        return self.elements[self._join[self._index[x], self._index[y]]]
+        return self.elements[self._join[self._index[x]][self._index[y]]]
 
     def meet(self, x, y):
-        return self.elements[self._meet[self._index[x], self._index[y]]]
+        return self.elements[self._meet[self._index[x]][self._index[y]]]
 
     def covers(self) -> tuple:
+        """Cover pairs (lower, upper) in row-major index order."""
         return tuple(
             (self.elements[i], self.elements[j])
-            for i, j in zip(*np.nonzero(self._covers))
+            for i, row in enumerate(self._covers)
+            for j in _bits(row)
         )
 
     def least(self):
-        for i in range(len(self.elements)):
-            if self._leq[i].sum() == len(self.elements):
+        full = (1 << len(self.elements)) - 1
+        for i, up in enumerate(self._up):
+            if up == full:
                 return self.elements[i]
         raise LatticeError("no least element")
 
     def greatest(self):
-        for i in range(len(self.elements)):
-            if self._leq[:, i].sum() == len(self.elements):
+        full = (1 << len(self.elements)) - 1
+        for i, down in enumerate(self._down):
+            if down == full:
                 return self.elements[i]
         raise LatticeError("no greatest element")
 
     def atoms(self) -> frozenset:
         bottom = self.index(self.least())
-        return frozenset(self.elements[j] for j in np.flatnonzero(self._covers[bottom]))
+        return frozenset(self.elements[j] for j in _bits(self._covers[bottom]))
 
     def restrict(self, subset) -> "FiniteLattice":
         # induced order; bounds are recomputed, so pass a join/meet-closed
         # subset (a down-set, a chain) when sublattice structure matters
         keep = [self._index[x] for x in subset]
         return FiniteLattice(
-            tuple(self.elements[i] for i in keep), self._leq[np.ix_(keep, keep)]
+            tuple(self.elements[i] for i in keep),
+            [[self._up[i] >> j & 1 for j in keep] for i in keep],
         )
 
     def down_set(self, x) -> "FiniteLattice":
-        top = self._index[x]
-        keep = [e for i, e in enumerate(self.elements) if self._leq[i, top]]
-        return self.restrict(keep)
+        return self.restrict(self.elements[i] for i in _bits(self._down[self._index[x]]))
 
     @classmethod
     def from_cover_pairs(cls, elements, pairs) -> "FiniteLattice":
         elements = tuple(elements)
         index = {e: i for i, e in enumerate(elements)}
         n = len(elements)
-        leq = np.eye(n, dtype=bool)
+        up = [1 << i for i in range(n)]
         for lo, hi in pairs:
-            leq[index[lo], index[hi]] = True
-        # reflexive-transitive closure
-        changed = True
-        while changed:
-            closed = leq | (leq @ leq)
-            changed = bool((closed != leq).any())
-            leq = closed
-        return cls(elements, leq)
+            up[index[lo]] |= 1 << index[hi]
+        # reflexive-transitive closure (Warshall)
+        for k in range(n):
+            for i in range(n):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        return cls(elements, [[up[i] >> j & 1 for j in range(n)] for i in range(n)])
 
     def to_dot(self) -> str:
         """Hasse diagram, edges bottom to top, byte-stable ordering."""
@@ -210,24 +228,24 @@ def build_lattice() -> FiniteLattice:
 def find_n5(lat: FiniteLattice):
     """First pentagon sublattice in deterministic order, or None."""
     n = len(lat.elements)
-    leq = lat._leq
+    leq = [[lat._up[i] >> j & 1 for j in range(n)] for i in range(n)]
     e = lat.elements
     for combo in itertools.combinations(range(n), 5):
-        bottoms = [x for x in combo if all(leq[x, y] for y in combo)]
-        tops = [x for x in combo if all(leq[y, x] for y in combo)]
+        bottoms = [x for x in combo if all(leq[x][y] for y in combo)]
+        tops = [x for x in combo if all(leq[y][x] for y in combo)]
         if len(bottoms) != 1 or len(tops) != 1:
             continue
         o, i = bottoms[0], tops[0]
         rest = [x for x in combo if x not in (o, i)]
         for b in rest:
             p, q = (x for x in rest if x != b)
-            if leq[p, q]:
+            if leq[p][q]:
                 lo, hi = p, q
-            elif leq[q, p]:
+            elif leq[q][p]:
                 lo, hi = q, p
             else:
                 continue
-            if leq[b, lo] or leq[lo, b] or leq[b, hi] or leq[hi, b]:
+            if leq[b][lo] or leq[lo][b] or leq[b][hi] or leq[hi][b]:
                 continue
             if (
                 lat.join(e[lo], e[b]) == e[i]

@@ -3,6 +3,15 @@
 An algebra is an n-by-n table plus a distinguished element (the constant).
 In associative mode words evaluate by folding the table left to right; in
 tree mode terms evaluate recursively with ``table[i][j]`` read as ``i -> j``.
+``evaluate`` is that reference evaluator.
+
+``satisfies`` and ``check_axioms`` do not call it: they compile an identity
+once into a flat register program and run the program per assignment.
+Register 0 holds the constant and registers 1..k the identity's sorted
+letters; each step (a, b) appends ``table[regs[a]][regs[b]]``.  A word
+compiles as a left fold and a tree term by a post-order walk, and equal
+subterms share one step.  ``check_axioms`` compiles its axiom texts once
+per mode.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .terms import (
+    OMEGA,
     Arrow,
     Identity,
     Mode,
@@ -136,16 +146,55 @@ def identity_letters(ident: Identity) -> tuple:
     return tuple(sorted(letters))
 
 
+def _compile(ident: Identity, letters: tuple) -> tuple:
+    """The register program (steps, lhs register, rhs register) of ident."""
+    register = {letter: r for r, letter in enumerate(letters, 1)}
+    steps = []
+    shared = {}
+
+    def step(a, b):
+        if (a, b) not in shared:
+            steps.append((a, b))
+            shared[a, b] = len(letters) + len(steps)
+        return shared[a, b]
+
+    def word(w):
+        acc = None
+        for ch in w.symbols:
+            r = 0 if ch == OMEGA else register[ch]
+            acc = r if acc is None else step(acc, r)
+        return acc
+
+    def tree(t):
+        if isinstance(t, Arrow):
+            return step(tree(t.left), tree(t.right))
+        return register[t.name] if isinstance(t, Var) else 0
+
+    side = word if ident.mode is Mode.IS else tree
+    lhs, rhs = side(ident.lhs), side(ident.rhs)
+    return tuple(steps), lhs, rhs
+
+
+def _run(a: FiniteAlgebra, letters: tuple, program: tuple) -> SatResult:
+    """Run a register program over all assignments in lexicographic order;
+    the first one whose sides differ is the witness."""
+    steps, lhs, rhs = program
+    table = a.table
+    for values in itertools.product(range(a.order), repeat=len(letters)):
+        regs = [a.distinguished, *values]
+        for x, y in steps:
+            regs.append(table[regs[x]][regs[y]])
+        if regs[lhs] != regs[rhs]:
+            return SatResult(False, dict(zip(letters, values)))
+    return SatResult(True, None)
+
+
 def satisfies(a: FiniteAlgebra, ident) -> SatResult:
     """Exhaustive check over all assignments; first lexicographic witness kept."""
     if isinstance(ident, str):
         ident = parse_identity(ident)
     letters = identity_letters(ident)
-    for values in itertools.product(range(a.order), repeat=len(letters)):
-        asg = dict(zip(letters, values))
-        if evaluate(a, ident.lhs, asg) != evaluate(a, ident.rhs, asg):
-            return SatResult(False, asg)
-    return SatResult(True, None)
+    return _run(a, letters, _compile(ident, letters))
 
 
 def word_value_classes(a: FiniteAlgebra, words, letters=("x", "y", "z")) -> dict:
@@ -207,17 +256,26 @@ def _associativity_check(a: FiniteAlgebra) -> AxiomCheck:
     return AxiomCheck("associativity", True)
 
 
+@lru_cache(maxsize=None)
+def _axiom_programs(mode: Mode) -> tuple:
+    """(text, letters, register program) of each defining identity of mode."""
+    out = []
+    for text in _IS_AXIOM_TEXTS if mode is Mode.IS else _IZ_AXIOM_TEXTS:
+        ident = parse_identity(text, mode)
+        letters = identity_letters(ident)
+        out.append((text, letters, _compile(ident, letters)))
+    return tuple(out)
+
+
 def check_axioms(a: FiniteAlgebra, mode: Mode) -> AxiomReport:
     """Per-axiom pass/fail with witnesses: associativity plus the defining
     identities in associative mode, the two defining identities in tree mode."""
+    mode = Mode(mode)
     checks = []
     if mode is Mode.IS:
         checks.append(_associativity_check(a))
-        texts = _IS_AXIOM_TEXTS
-    else:
-        texts = _IZ_AXIOM_TEXTS
-    for text in texts:
-        res = satisfies(a, parse_identity(text, mode))
+    for text, letters, program in _axiom_programs(mode):
+        res = _run(a, letters, program)
         checks.append(AxiomCheck(text, res.holds, res.witness))
     return AxiomReport(mode, tuple(checks))
 

@@ -187,9 +187,19 @@ class Arrow(TreeTerm):
 
 ZERO = Zero()
 
+# The deepest tree term the parser accepts, counted in arrows on the longest
+# path from the root (a postfix prime is one arrow).  Terms are walked
+# recursively (term_letters, str, hash, equality, substitution and the
+# evaluators), and str takes three interpreter frames per level.  A replayed
+# derivation step substitutes parsed terms into a parsed rule and puts the
+# result inside a parsed term, so its terms reach three times this depth;
+# that still stays far below the default recursion limit of 1000.
+MAX_TERM_DEPTH = 64
+
 
 def parse_term(text: str) -> TreeTerm:
-    """Parse a tree term: ``0``, a letter, ``(t>t)``, with postfix primes."""
+    """Parse a tree term: ``0``, a letter, ``(t>t)``, with postfix primes.
+    A term deeper than ``MAX_TERM_DEPTH`` is a ParseError."""
     pos = 0
     n = len(text)
 
@@ -198,12 +208,18 @@ def parse_term(text: str) -> TreeTerm:
         while pos < n and text[pos].isspace():
             pos += 1
 
-    def parse_inner() -> TreeTerm:
+    def too_deep():
+        return ParseError(f"term nested deeper than {MAX_TERM_DEPTH}", pos)
+
+    def parse_inner(depth: int) -> tuple:
+        # depth counts the arrows opened by enclosing parentheses; returns
+        # the term and its height, and depth + height never exceeds the bound
         nonlocal pos
         skip_ws()
         if pos >= n:
             raise ParseError("unexpected end of input", pos)
         ch = text[pos]
+        height = 0
         if ch == "0":
             pos += 1
             node: TreeTerm = ZERO
@@ -211,31 +227,37 @@ def parse_term(text: str) -> TreeTerm:
             pos += 1
             node = Var(ch)
         elif ch == "(":
+            if depth >= MAX_TERM_DEPTH:
+                raise too_deep()
             open_at = pos
             pos += 1
-            left = parse_inner()
+            left, left_height = parse_inner(depth + 1)
             skip_ws()
             if pos >= n or text[pos] != ">":
                 raise ParseError("expected '>'", pos)
             pos += 1
-            right = parse_inner()
+            right, right_height = parse_inner(depth + 1)
             skip_ws()
             if pos >= n or text[pos] != ")":
                 raise ParseError("unbalanced '('", open_at)
             pos += 1
             node = Arrow(left, right)
+            height = 1 + max(left_height, right_height)
         else:
             raise ParseError(f"unexpected character {ch!r}", pos)
         while True:
             skip_ws()
             if pos < n and text[pos] == "'":
+                if depth + height >= MAX_TERM_DEPTH:
+                    raise too_deep()
                 pos += 1
                 node = Arrow(node, ZERO)
+                height += 1
             else:
                 break
-        return node
+        return node, height
 
-    node = parse_inner()
+    node, _ = parse_inner(0)
     skip_ws()
     if pos != n:
         raise ParseError(f"unexpected character {text[pos]!r}", pos)

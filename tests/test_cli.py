@@ -64,6 +64,15 @@ def test_oracle_missing_algebra(capsys, tmp_path):
         assert code == 2 and err.startswith("error:")
 
 
+def test_oracle_rejects_too_deep_terms(capsys):
+    # both overflowed the interpreter stack before the parser had a bound
+    for text in ("x" + "'" * 5000 + "=x", "(" * 2000 + "x" + ">y)" * 2000 + " = x"):
+        code, out, err = run(capsys, ["oracle", "--mode", "iz", "builtin:2s", text])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "nested deeper" in err
+        assert "Traceback" not in err
+
+
 def test_variety_of(capsys):
     code, out, _ = run(capsys, ["variety-of", "builtin:BxK_mod_I"])
     assert code == 0 and out == "L\n"

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from varietylab import models
+from varietylab import enumeration, models
 from varietylab.enumeration import (
     EnumerationReport,
     SearchStats,
@@ -89,7 +89,8 @@ def test_canonical_form_examples():
 
 
 def test_parallel_matches_sequential():
-    # blobs and search counts alike: every worker count walks one tree
+    # blobs and search counts alike: the chunked walk of two workers and the
+    # uncut walk of one visit the same tree
     assert _census(3, Mode.IS, 2) == _census(3, Mode.IS, 1)
     assert _census(3, Mode.IZ, 2) == _census(3, Mode.IZ, 1)
     assert _census(4, Mode.IS, 2) == _census(4, Mode.IS, 1)
@@ -158,6 +159,22 @@ def test_jobs_clamped_to_cpus_and_chunks(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert _census(2, Mode.IS, 1000) == _census(2, Mode.IS, 1)
     assert sizes == [3, 2]
+
+
+def test_serial_census_walks_the_tree_uncut(monkeypatch):
+    stops = []
+    search = enumeration._search
+
+    def recording_search(order, mode, node=None, stop=None):
+        stops.append((node is None, stop))
+        return search(order, mode, node, stop)
+
+    monkeypatch.setattr(enumeration, "_search", recording_search)
+    _census(3, Mode.IZ, 1)
+    assert stops == [(True, None)]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _census(3, Mode.IZ, 2)
+    assert stops == [(True, None)] * 2
 
 
 def test_classify_small_orders():

@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 
 from varietylab import models, varieties
@@ -28,11 +27,15 @@ def test_build_shape(lat):
     assert set(lat.covers()) == set(EXPECTED_COVERS)
     assert lat.least() is Variety.T
     assert lat.greatest() is Variety.IS
+    # row-major index order, which the lattice and verify-paper output keep
+    order = [(lat.index(lo), lat.index(hi)) for lo, hi in lat.covers()]
+    assert order == sorted(order)
 
 
 def test_leq_is_closure_of_expected_covers(lat):
     closure = FiniteLattice.from_cover_pairs(lat.elements, EXPECTED_COVERS)
-    assert np.array_equal(lat._leq, closure._leq)
+    for x, y in itertools.product(lat.elements, repeat=2):
+        assert lat.leq(x, y) == closure.leq(x, y)
 
 
 def test_join_meet_examples(lat):
@@ -157,9 +160,13 @@ def test_order_decision_consistency(lat):
 
 def test_invalid_orders_rejected():
     with pytest.raises(LatticeError):
-        FiniteLattice(("a", "b"), np.array([[True, False], [False, False]]))
+        FiniteLattice(("a", "b"), [[True, False], [False, False]])
     with pytest.raises(LatticeError):
-        FiniteLattice(("a", "b"), np.array([[True, True], [True, True]]))
+        FiniteLattice(("a", "b"), [[True, True], [True, True]])
+    with pytest.raises(LatticeError, match="not transitive at \\(a, b, c\\)"):
+        FiniteLattice(("a", "b", "c"), [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    with pytest.raises(LatticeError, match="2x2"):
+        FiniteLattice(("a", "b"), [[True, True]])
     # three pairwise-incomparable elements have no joins
     with pytest.raises(LatticeError):
-        FiniteLattice(("a", "b", "c"), np.eye(3, dtype=bool))
+        FiniteLattice(("a", "b", "c"), [[i == j for j in range(3)] for i in range(3)])

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from varietylab import models
 from varietylab.models import (
     AxiomViolationError,
     BUILTIN_NAMES,
@@ -97,6 +98,24 @@ def test_check_axioms_is():
 def test_check_axioms_iz():
     for name in ("2s", "2b", "trivial", "Z"):
         assert check_axioms(builtin(name), Mode.IZ).passed, name
+
+
+def test_check_axioms_parses_its_axioms_once_per_mode(monkeypatch):
+    parsed = []
+    parse = models.parse_identity
+
+    def counting_parse(text, mode=Mode.IS):
+        parsed.append(text)
+        return parse(text, mode)
+
+    monkeypatch.setattr(models, "parse_identity", counting_parse)
+    for mode in (Mode.IS, Mode.IZ):
+        first = check_axioms(builtin("2b"), mode)
+        seen = len(parsed)
+        for name in ("trivial", "A", "Z", "2s", "2b"):
+            check_axioms(builtin(name), mode)
+        assert len(parsed) == seen
+        assert check_axioms(builtin("2b"), mode) == first
 
 
 def test_derived_identities_hold_in_all_is_builtins():

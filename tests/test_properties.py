@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from varietylab.enumeration import canonical_form
 from varietylab.models import (
     builtin,
+    evaluate,
     is_isomorphic,
     make_algebra,
     satisfies,
     word_value_classes,
 )
-from varietylab.terms import Identity, Mode, Word, normalize_is
+from varietylab.terms import ZERO, Arrow, Identity, Mode, Var, Word, normalize_is
 from varietylab.varieties import Variety, decide
 
 
@@ -26,16 +27,21 @@ def relabel(a, perm):
     return make_algebra(table, perm[a.distinguished])
 
 
-small_tables = st.integers(2, 4).flatmap(
-    lambda n: st.tuples(
-        st.lists(
-            st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        ),
-        st.integers(0, n - 1),
+def tables(min_order):
+    """(rows, distinguished) of random tables of order min_order..4."""
+    return st.integers(min_order, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            ),
+            st.integers(0, n - 1),
+        )
     )
-)
+
+
+small_tables = tables(2)
 
 
 @given(small_tables, st.randoms(use_true_random=False))
@@ -65,6 +71,44 @@ def test_batched_classes_agree_with_satisfies(name, u, v):
     a = builtin(name)
     classes = word_value_classes(a, (u, v))
     assert (classes[u] == classes[v]) == satisfies(a, Identity(u, v, Mode.IS)).holds
+
+
+def reference_satisfies(a, ident):
+    """One evaluate call per side and assignment, letters in sorted order."""
+    letters = sorted(set(f"{ident.lhs}{ident.rhs}") & set("abcdefghijklmnopqrstuvwxyz"))
+    for values in itertools.product(range(a.order), repeat=len(letters)):
+        asg = dict(zip(letters, values))
+        if evaluate(a, ident.lhs, asg) != evaluate(a, ident.rhs, asg):
+            return False, asg
+    return True, None
+
+
+tree_terms = st.recursive(
+    st.sampled_from([ZERO, Var("x"), Var("y"), Var("z")]),
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda lr: Arrow(*lr)),
+        sub.map(lambda t: Arrow(t, t)),  # a repeated subterm
+    ),
+    max_leaves=8,
+)
+
+identities = st.one_of(
+    st.tuples(words, words).map(lambda uv: Identity(*uv, Mode.IS)),
+    # a shared prefix
+    st.tuples(words, words).map(lambda uv: Identity(uv[0], uv[0] + uv[1], Mode.IS)),
+    st.tuples(tree_terms, tree_terms).map(lambda lr: Identity(*lr, Mode.IZ)),
+    # the left side recurs inside the right
+    st.tuples(tree_terms, tree_terms).map(
+        lambda lr: Identity(lr[0], Arrow(lr[1], lr[0]), Mode.IZ)
+    ),
+)
+
+@settings(max_examples=400)
+@given(tables(1), identities)
+def test_compiled_satisfies_matches_reference_evaluator(table_dist, ident):
+    a = make_algebra(*table_dist)
+    res = satisfies(a, ident)
+    assert (res.holds, res.witness) == reference_satisfies(a, ident)
 
 
 @settings(max_examples=300)

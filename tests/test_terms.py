@@ -4,7 +4,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from varietylab.models import builtin, evaluate, satisfies
 from varietylab.terms import (
+    MAX_TERM_DEPTH,
     Arrow,
     Identity,
     Mode,
@@ -171,6 +173,33 @@ def test_render_term_uses_prime_sugar():
     assert render_term(Arrow(Var("x"), ZERO)) == "x'"
     assert render_term(Arrow(Arrow(Var("x"), Var("y")), ZERO)) == "(x>y)'"
     assert render_term(Arrow(ZERO, Arrow(ZERO, ZERO))) == "(0>0')"
+
+
+def test_term_depth_limit():
+    primed = "x" + "'" * MAX_TERM_DEPTH
+    nested = "(" * MAX_TERM_DEPTH + "x" + ">y)" * MAX_TERM_DEPTH
+    a = builtin("2s")
+    for text in (primed, nested):
+        t = parse_term(text)
+        assert parse_term(render_term(t)) == t and hash(t) == hash(parse_term(text))
+        assert term_letters(t) <= {"x", "y"}
+        for x in range(2):
+            assert evaluate(a, t, {"x": x, "y": 1}) in (0, 1)
+        assert satisfies(a, Identity(t, t, Mode.IZ))
+    # a prime and a parenthesis count alike
+    assert parse_term("(" * (MAX_TERM_DEPTH - 1) + "x'" + ">y)" * (MAX_TERM_DEPTH - 1))
+    with pytest.raises(ParseError) as exc:
+        parse_term(primed + "'")
+    assert exc.value.offset == MAX_TERM_DEPTH + 1
+    with pytest.raises(ParseError) as exc:
+        parse_term("(" + nested + ">y)")
+    assert exc.value.offset == MAX_TERM_DEPTH
+    with pytest.raises(ParseError) as exc:
+        parse_term("(" * (MAX_TERM_DEPTH - 1) + "x''" + ">y)" * (MAX_TERM_DEPTH - 1))
+    assert exc.value.offset == MAX_TERM_DEPTH + 1  # the second prime
+    with pytest.raises(ParseError) as exc:
+        parse_identity(f"x = {primed}'", Mode.IZ)
+    assert exc.value.offset == MAX_TERM_DEPTH + 5
 
 
 def test_term_letters_and_substitution():
