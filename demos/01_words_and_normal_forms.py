@@ -18,7 +18,7 @@ from varietylab import (
 
 for text in ["xyx", "zOxyzOO", "OO", "xxyz"]:
     w = parse_word(text)
-    print(f"word {str(w):10}  content={set(content(w)) or '{}'}  "
+    print(f"word {str(w):10}  content={sorted(content(w))}  "
           f"los={los(w)}  length={length(w)}  square={contains_square(w)}")
 
 print()

@@ -7,7 +7,6 @@ checks itself against the expected 25 covers before returning.
 
 from varietylab import (
     Variety,
-    atoms,
     build_lattice,
     find_n5,
     is_distributive,
@@ -17,7 +16,7 @@ from varietylab import (
 
 lat = build_lattice()
 print(f"elements: {len(lat)}, covers: {len(lat.covers())}")
-print(f"atoms: {sorted(str(v) for v in atoms(lat))}")
+print(f"atoms: {sorted(str(v) for v in lat.atoms())}")
 
 pent = find_n5(lat)
 print(f"\npentagon found, so the lattice is non-modular:")

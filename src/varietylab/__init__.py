@@ -21,9 +21,6 @@ from .terms import (
     parse_identity,
     parse_term,
     parse_word,
-    render_identity,
-    render_term,
-    render_word,
     substitute,
     substitute_term,
 )
@@ -59,7 +56,6 @@ from .varieties import (
 from .lattice import (
     FiniteLattice,
     LatticeError,
-    atoms,
     build_lattice,
     find_n5,
     is_distributive,

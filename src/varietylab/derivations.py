@@ -16,6 +16,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .terms import (
+    AXIOM_TEXTS,
     Arrow,
     Identity,
     Mode,
@@ -24,8 +25,6 @@ from .terms import (
     parse_identity,
     parse_term,
     parse_word,
-    render_term,
-    render_word,
     substitute,
     substitute_term,
 )
@@ -49,19 +48,16 @@ class Rule:
     kind: Kind
 
 
-def _axioms(mode: Mode) -> tuple:
-    if mode is Mode.IS:
-        return (
-            Rule("A1", parse_identity("xyz = zOxyzOO"), Kind.AXIOM),
-            Rule("A2", parse_identity("OOO = O"), Kind.AXIOM),
-        )
-    return (
-        Rule("A1", parse_identity("((x>y)>z) = ((z'>x)>(y>z)')'", Mode.IZ), Kind.AXIOM),
-        Rule("A2", parse_identity("0'' = 0", Mode.IZ), Kind.AXIOM),
-    )
-
-
 AXIOM_LABELS = ("A1", "A2")
+
+
+@lru_cache(maxsize=None)
+def _axioms(mode: Mode) -> tuple:
+    """The defining identities of mode as rules A1 and A2, parsed once."""
+    return tuple(
+        Rule(label, parse_identity(text, mode), Kind.AXIOM)
+        for label, text in zip(AXIOM_LABELS, AXIOM_TEXTS[mode])
+    )
 
 
 @dataclass
@@ -245,12 +241,14 @@ def parse_script(text: str) -> Script:
         if not m:
             raise ValueError(f"bad step line {line!r}")
         label, direction, pos_text, sub_text, result_text = m.groups()
-        if ".." in pos_text:
-            lo, hi = pos_text.split("..")
+        if mode is Mode.IS:
+            lo, dots, hi = pos_text.partition("..")
+            if not (dots and lo.isdecimal() and hi.isdecimal()):
+                raise ValueError(f"bad position in {line!r}: flat mode takes a range i..j")
             position: object = (int(lo), int(hi))
         else:
             if pos_text != "e" and not set(pos_text) <= {"L", "R"}:
-                raise ValueError(f"bad position {pos_text!r}")
+                raise ValueError(f"bad position in {line!r}: tree mode takes e or an L/R path")
             position = pos_text
         substitution = {}
         if sub_text.strip():
@@ -269,22 +267,21 @@ def parse_script(text: str) -> Script:
 
 
 def render_script(script: Script) -> str:
-    show = render_word if script.mode is Mode.IS else render_term
     lines = [f"mode: {script.mode.value}", f"name: {script.name}", "premises:"]
     for rule in script.premises:
         mark = " [proven]" if rule.kind is Kind.PROVEN else ""
         lines.append(f"  {rule.label}{mark}: {rule.identity}")
     lines.append(f"goal: {script.goal}")
-    lines.append(f"start: {show(script.start)}")
+    lines.append(f"start: {script.start}")
     for step in script.steps:
         if isinstance(step.position, tuple):
             pos = f"{step.position[0]}..{step.position[1]}"
         else:
             pos = step.position
-        sub = ", ".join(f"{v}={show(t)}" for v, t in sorted(step.substitution.items()))
+        sub = ", ".join(f"{v}={t}" for v, t in sorted(step.substitution.items()))
         lines.append(
             f"step {step.label} {step.direction.value} at {pos} sub {{{sub}}}"
-            f" -> {show(step.result)}"
+            f" -> {step.result}"
         )
     return "\n".join(lines) + "\n"
 

@@ -112,6 +112,9 @@ def algebra_from_canonical(blob: bytes) -> FiniteAlgebra:
 
 O, X, Y, Z = 0, 1, 2, 3
 
+# Written out by hand rather than compiled from terms.AXIOM_TEXTS: the leaf
+# check_axioms reads those texts, and it must stay independent of the search
+# so that it can catch a fault in these laws or in the propagation.
 _LAWS = {
     Mode.IS: (
         (((X, Y), Z), (X, (Y, Z))),  # associativity
@@ -305,10 +308,6 @@ def _census(order: int, mode: Mode, jobs: int) -> tuple:
 def _enumerate(order: int, mode: Mode, jobs: int) -> tuple:
     """The sorted canonical blobs of a fresh, uncached census."""
     return _census(order, mode, jobs)[0]
-
-
-def clear_cache():
-    _cache.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,3 @@ def neutral_elements(lat: FiniteLattice) -> frozenset:
         if ok:
             out.append(x)
     return frozenset(out)
-
-
-def atoms(lat: FiniteLattice) -> frozenset:
-    return lat.atoms()

@@ -10,8 +10,8 @@ once into a flat register program and run the program per assignment.
 Register 0 holds the constant and registers 1..k the identity's sorted
 letters; each step (a, b) appends ``table[regs[a]][regs[b]]``.  A word
 compiles as a left fold and a tree term by a post-order walk, and equal
-subterms share one step.  ``check_axioms`` compiles its axiom texts once
-per mode.
+subterms share one step.  ``check_axioms`` compiles the axiom texts of
+``terms.AXIOM_TEXTS`` once per mode.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .terms import (
+    AXIOM_TEXTS,
     OMEGA,
     Arrow,
     Identity,
@@ -244,10 +245,6 @@ class AxiomReport:
         return self.passed
 
 
-_IS_AXIOM_TEXTS = ("xyz = zOxyzOO", "OOO = O")
-_IZ_AXIOM_TEXTS = ("((x>y)>z) = ((z'>x)>(y>z)')'", "0'' = 0")
-
-
 def _associativity_check(a: FiniteAlgebra) -> AxiomCheck:
     t = a.table
     for i, j, k in itertools.product(range(a.order), repeat=3):
@@ -260,7 +257,7 @@ def _associativity_check(a: FiniteAlgebra) -> AxiomCheck:
 def _axiom_programs(mode: Mode) -> tuple:
     """(text, letters, register program) of each defining identity of mode."""
     out = []
-    for text in _IS_AXIOM_TEXTS if mode is Mode.IS else _IZ_AXIOM_TEXTS:
+    for text in AXIOM_TEXTS[mode]:
         ident = parse_identity(text, mode)
         letters = identity_letters(ident)
         out.append((text, letters, _compile(ident, letters)))

@@ -4,7 +4,10 @@ Two syntaxes live here.  Associative mode works with flat words over the
 letters a-z plus the distinguished constant, written ``O``; bracketing is
 meaningless, so a word is just a nonempty string of symbols.  Tree mode works
 with fully parenthesised binary terms over ``>`` with the constant ``0``; a
-postfix prime is sugar for ``(t>0)``.
+postfix prime is sugar for ``(t>0)``.  ``AXIOM_TEXTS`` holds the two
+defining identities of implication semigroups in each syntax; the axiom
+check and the derivation checker both read them from here.  Words, terms and
+identities render with ``str``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,14 @@ class Mode(str, Enum):
 
     IS = "is"  # flat associative words with constant O
     IZ = "iz"  # binary arrow trees with constant 0
+
+
+# The two defining identities of each mode; associative mode also assumes
+# associativity, which its flat syntax builds in.
+AXIOM_TEXTS = {
+    Mode.IS: ("xyz = zOxyzOO", "OOO = O"),
+    Mode.IZ: ("((x>y)>z) = ((z'>x)>(y>z)')'", "0'' = 0"),
+}
 
 
 class ParseError(ValueError):
@@ -73,10 +84,6 @@ def parse_word(text: str) -> Word:
     if not out:
         raise ParseError("empty word", len(text))
     return Word("".join(out))
-
-
-def render_word(w: Word) -> str:
-    return w.symbols
 
 
 @lru_cache(maxsize=1 << 16)
@@ -180,6 +187,7 @@ class Arrow(TreeTerm):
     right: TreeTerm
 
     def __str__(self) -> str:
+        """Canonical text: primes for right-zero arrows, parens everywhere else."""
         if self.right == ZERO:
             return f"{self.left}'"
         return f"({self.left}>{self.right})"
@@ -264,11 +272,6 @@ def parse_term(text: str) -> TreeTerm:
     return node
 
 
-def render_term(t: TreeTerm) -> str:
-    """Canonical text: primes for right-zero arrows, parens everywhere else."""
-    return str(t)
-
-
 def term_letters(t: TreeTerm) -> frozenset:
     """All variable names occurring in t."""
     if isinstance(t, Var):
@@ -323,7 +326,3 @@ def parse_identity(text: str, mode: Mode = Mode.IS) -> Identity:
     except ParseError as exc:
         raise ParseError(str(exc).rsplit(" (offset", 1)[0], exc.offset + eq + 1) from None
     return Identity(lhs, rhs, mode)
-
-
-def render_identity(ident: Identity) -> str:
-    return str(ident)

@@ -1,9 +1,12 @@
 """The sixteen named varieties: finite bases, generators, decision procedures.
 
-Every variety here is a join of up to three of the seven basic ones, each
-with a normal-form word key built from content, last-occurrence sequence,
-length and square containment.  An identity holds in a variety iff its two
-sides have the same tuple of component keys."""
+Each variety is one row of ``_TABLE``: its join components, its generators
+and the texts of its basis.  Every variety is a join of up to three of the
+seven basic ones, SL, B, ZM, K, L, M and N, which are Variety members and
+their own sole components.  Each basic variety has a normal-form word key
+built from content, last-occurrence sequence, length and square
+containment.  An identity holds in a variety iff its two sides have the same
+tuple of component keys."""
 
 from __future__ import annotations
 
@@ -50,18 +53,6 @@ class Variety(str, Enum):
         return self.value
 
 
-class Component(Enum):
-    """The seven basic varieties, as components of a join."""
-
-    SL = "SL"
-    B = "B"
-    ZM = "ZM"
-    K = "K"
-    L = "L"
-    M = "M"
-    N = "N"
-
-
 @dataclass(frozen=True)
 class VarietyRecord:
     id: Variety
@@ -70,61 +61,24 @@ class VarietyRecord:
     join_components: tuple
 
 
-_BASIS_TEXTS = {
-    Variety.T: ("x = O",),
-    Variety.SL: ("xx = x", "xy = yx"),
-    Variety.B: ("xx = x",),
-    Variety.ZM: ("xy = O",),
-    Variety.K: ("xyz = O", "xx = O", "xy = yx"),
-    Variety.L: ("xyz = O", "xx = O"),
-    Variety.M: ("xyz = O", "xy = yx"),
-    Variety.N: ("xyz = O",),
-    Variety.SL_K: ("xO = xx", "xy = yx"),
-    Variety.SL_L: ("xO = xx", "xyO = yxO"),
-    Variety.SL_M: ("xy = yx",),
-    Variety.SL_N: ("xyO = yxO",),
-    Variety.SL_ZM: ("xy = yxO",),
-    Variety.B_ZM: ("xy = xyO",),
-    Variety.B_K: ("xO = xx",),
-    Variety.IS: (),
-}
-
-_GENERATORS = {
-    Variety.T: ("trivial",),
-    Variety.SL: ("A",),
-    Variety.B: ("B",),
-    Variety.ZM: ("Z",),
-    Variety.K: ("K",),
-    Variety.L: ("L",),
-    Variety.M: ("M",),
-    Variety.N: ("L", "M"),
-    Variety.SL_ZM: ("A", "Z"),
-    Variety.SL_K: ("A", "K"),
-    Variety.SL_L: ("A", "L"),
-    Variety.SL_M: ("A", "M"),
-    Variety.SL_N: ("A", "L", "M"),
-    Variety.B_ZM: ("B", "Z"),
-    Variety.B_K: ("B", "K"),
-    Variety.IS: ("B", "L", "M"),
-}
-
-_COMPONENTS = {
-    Variety.T: (),
-    Variety.SL: (Component.SL,),
-    Variety.B: (Component.B,),
-    Variety.ZM: (Component.ZM,),
-    Variety.K: (Component.K,),
-    Variety.L: (Component.L,),
-    Variety.M: (Component.M,),
-    Variety.N: (Component.N,),
-    Variety.SL_ZM: (Component.SL, Component.ZM),
-    Variety.SL_K: (Component.SL, Component.K),
-    Variety.SL_L: (Component.SL, Component.L),
-    Variety.SL_M: (Component.SL, Component.M),
-    Variety.SL_N: (Component.SL, Component.N),
-    Variety.B_ZM: (Component.B, Component.ZM),
-    Variety.B_K: (Component.B, Component.K),
-    Variety.IS: (Component.B, Component.N),
+# variety -> (join components, generators by builtin name, basis texts)
+_TABLE = {
+    Variety.T: ((), ("trivial",), ("x = O",)),
+    Variety.ZM: ((Variety.ZM,), ("Z",), ("xy = O",)),
+    Variety.SL: ((Variety.SL,), ("A",), ("xx = x", "xy = yx")),
+    Variety.K: ((Variety.K,), ("K",), ("xyz = O", "xx = O", "xy = yx")),
+    Variety.SL_ZM: ((Variety.SL, Variety.ZM), ("A", "Z"), ("xy = yxO",)),
+    Variety.B: ((Variety.B,), ("B",), ("xx = x",)),
+    Variety.M: ((Variety.M,), ("M",), ("xyz = O", "xy = yx")),
+    Variety.L: ((Variety.L,), ("L",), ("xyz = O", "xx = O")),
+    Variety.SL_K: ((Variety.SL, Variety.K), ("A", "K"), ("xO = xx", "xy = yx")),
+    Variety.B_ZM: ((Variety.B, Variety.ZM), ("B", "Z"), ("xy = xyO",)),
+    Variety.N: ((Variety.N,), ("L", "M"), ("xyz = O",)),
+    Variety.SL_M: ((Variety.SL, Variety.M), ("A", "M"), ("xy = yx",)),
+    Variety.SL_L: ((Variety.SL, Variety.L), ("A", "L"), ("xO = xx", "xyO = yxO")),
+    Variety.B_K: ((Variety.B, Variety.K), ("B", "K"), ("xO = xx",)),
+    Variety.SL_N: ((Variety.SL, Variety.N), ("A", "L", "M"), ("xyO = yxO",)),
+    Variety.IS: ((Variety.B, Variety.N), ("B", "L", "M"), ()),
 }
 
 
@@ -133,12 +87,13 @@ def registry() -> tuple:
     """All sixteen records.  Each generator is checked against its basis once."""
     records = []
     for v in Variety:
-        basis = tuple(parse_identity(text) for text in _BASIS_TEXTS[v])
-        failure = basis_failure(_GENERATORS[v], basis)
+        components, generators, texts = _TABLE[v]
+        basis = tuple(parse_identity(text) for text in texts)
+        failure = basis_failure(generators, basis)
         if failure is not None:
             gname, ident, witness = failure
             raise AssertionError(f"generator {gname} violates basis of {v}: {ident} at {witness}")
-        records.append(VarietyRecord(v, basis, _GENERATORS[v], _COMPONENTS[v]))
+        records.append(VarietyRecord(v, basis, generators, components))
     return tuple(records)
 
 
@@ -185,13 +140,13 @@ def _short(w: Word, vanishes: bool, commutative: bool):
 
 
 _COMPONENT_KEYS = {
-    Component.SL: content,
-    Component.B: los,
-    Component.ZM: lambda w: _short(w, length(w) >= 2, False),
-    Component.K: lambda w: _short(w, _square_or_long(w), True),
-    Component.L: lambda w: _short(w, _square_or_long(w), False),
-    Component.M: lambda w: _short(w, length(w) >= 3, True),
-    Component.N: lambda w: _short(w, length(w) >= 3, False),
+    Variety.SL: content,
+    Variety.B: los,
+    Variety.ZM: lambda w: _short(w, length(w) >= 2, False),
+    Variety.K: lambda w: _short(w, _square_or_long(w), True),
+    Variety.L: lambda w: _short(w, _square_or_long(w), False),
+    Variety.M: lambda w: _short(w, length(w) >= 3, True),
+    Variety.N: lambda w: _short(w, length(w) >= 3, False),
 }
 
 

@@ -6,7 +6,7 @@ verify-paper command.
 
 import pytest
 
-from varietylab import verify
+from varietylab import enumeration, verify
 
 
 def report(result):
@@ -57,6 +57,29 @@ def test_criterion_10_derivation_replay():
 
 def test_criterion_11_subdirect_and_band_monoid():
     report(verify.check_11_subdirect_decomposition(jobs=4))
+
+
+def test_criterion_11_compares_two_different_walks(monkeypatch):
+    walks = []
+    census = enumeration._census
+
+    def recording_census(order, mode, jobs):
+        walks.append((order, jobs))
+        blobs, stats = census(order, mode, jobs)
+        # a planted fault: more workers lose the last class
+        return (blobs[:-1] if jobs > 1 and faulty else blobs), stats
+
+    monkeypatch.setattr(enumeration, "_cache", {})
+    monkeypatch.setattr(enumeration, "_census", recording_census)
+    faulty = False
+    assert verify.check_11_subdirect_decomposition(1).passed
+    assert [walk for walk in walks if walk[0] == 4] == [(4, 1)]
+    walks.clear()
+    assert verify.check_11_subdirect_decomposition(2).passed
+    assert walks == [(4, 2), (4, 1)]
+    faulty = True
+    res = verify.check_11_subdirect_decomposition(2)
+    assert not res.passed and "worker count changes the order-4 census" in res.detail
 
 
 def test_criterion_12_tree_mode_models():

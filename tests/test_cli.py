@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from varietylab import cli
@@ -124,6 +126,22 @@ def test_replay_pass_and_fail(capsys, tmp_path):
     assert code == 1 and out.startswith("FAIL")
 
 
+def test_replay_rejects_a_position_of_the_wrong_kind(capsys, tmp_path):
+    # flat mode takes a factor range, tree mode a root path over L and R
+    scripts = {
+        "flat": "mode: is\nname: x\ngoal: xOOO = xO\nstart: xOOO\n"
+        "step A2 L2R at LR sub {} -> xO\n",
+        "tree": "mode: iz\nname: x\ngoal: 0'' = 0\nstart: 0''\n"
+        "step A2 L2R at 1..2 sub {} -> 0\n",
+    }
+    for name, text in scripts.items():
+        path = tmp_path / f"{name}.script"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["replay", str(path)])
+        assert code == 2 and out == "", name
+        assert err.startswith("error: bad position") and "Traceback" not in err, name
+
+
 def test_replay_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["replay", "no-such-file.script"])
     assert code == 2
@@ -137,3 +155,12 @@ def test_unknown_command():
 
 def test_usage_error_exit_code():
     assert cli.main([]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_paper_stdout_is_pinned(capsys, monkeypatch, jobs):
+    monkeypatch.delenv("VARIETYLAB_SEED", raising=False)
+    expected = Path(__file__).resolve().parent.parent / "bench" / "verify_paper.txt"
+    code, out, _ = run(capsys, ["--jobs", jobs, "verify-paper"])
+    assert code == 0
+    assert out == expected.read_text(encoding="utf-8")

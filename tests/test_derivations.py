@@ -1,8 +1,9 @@
 import copy
+import re
 
 import pytest
 
-from varietylab import models
+from varietylab import derivations, models
 from varietylab.derivations import (
     AXIOM_LABELS,
     Direction,
@@ -21,7 +22,23 @@ from varietylab.derivations import (
     SHIPPED_ORDER,
 )
 from varietylab.enumeration import enumerate_algebras
-from varietylab.terms import Arrow, Mode, Word, ZERO, parse_identity, parse_term, parse_word
+from varietylab.terms import (
+    AXIOM_TEXTS,
+    Arrow,
+    Mode,
+    Word,
+    ZERO,
+    parse_identity,
+    parse_term,
+    parse_word,
+)
+
+# scripts that are well formed but for a position of the other mode's kind:
+# a root path in flat mode, a factor range in tree mode
+WRONG_KIND_STEPS = {
+    "mode: is\nname: x\ngoal: xOOO = xO\nstart: xOOO\n": "step A2 L2R at LR sub {} -> xO",
+    "mode: iz\nname: x\ngoal: 0'' = 0\nstart: 0''\n": "step A2 L2R at 1..2 sub {} -> 0",
+}
 
 
 def rules_for(mode, extra=()):
@@ -180,6 +197,17 @@ def test_parse_script_rejects():
         )
 
 
+def test_parse_script_rejects_a_position_of_the_wrong_kind():
+    for head, step in WRONG_KIND_STEPS.items():
+        with pytest.raises(ValueError, match=re.escape(repr(step))):
+            parse_script(head + step + "\n")
+    # the right kind still parses
+    assert parse_script(
+        "mode: is\nname: x\ngoal: xOOO = xO\nstart: xOOO\n"
+        "step A2 L2R at 2..4 sub {} -> xO\n"
+    ).steps[0].position == (2, 4)
+
+
 def test_duplicate_labels_rejected():
     rule = Rule("r", parse_identity("xx = x"), Kind.PREMISE)
     script = Script(Mode.IS, "dup", [rule, rule], parse_identity("x = x"), Word("x"), [])
@@ -195,3 +223,21 @@ def test_axiom_inventory():
         "0'' = 0",
     ]
     assert len(SHIPPED_ORDER) == 12
+
+
+def test_replay_parses_the_axioms_once_per_mode(monkeypatch):
+    scripts = shipped_scripts()
+    assert {script.mode for script in scripts} == set(Mode)
+    parsed = []
+    parse = derivations.parse_identity
+
+    def counting_parse(text, mode=Mode.IS):
+        parsed.append(text)
+        return parse(text, mode)
+
+    monkeypatch.setattr(derivations, "parse_identity", counting_parse)
+    derivations._axioms.cache_clear()
+    for _ in range(3):
+        for script in scripts:
+            assert replay(script)
+    assert sorted(parsed) == sorted(AXIOM_TEXTS[Mode.IS] + AXIOM_TEXTS[Mode.IZ])

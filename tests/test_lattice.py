@@ -7,7 +7,6 @@ from varietylab.lattice import (
     EXPECTED_COVERS,
     FiniteLattice,
     LatticeError,
-    atoms,
     build_lattice,
     find_n5,
     is_distributive,
@@ -123,10 +122,10 @@ def test_neutral_elements(lat):
 
 
 def test_atoms(lat):
-    assert atoms(lat) == {Variety.SL, Variety.ZM}
-    assert atoms(lat.down_set(Variety.N)) == {Variety.ZM}
+    assert lat.atoms() == {Variety.SL, Variety.ZM}
+    assert lat.down_set(Variety.N).atoms() == {Variety.ZM}
     two = FiniteLattice.from_cover_pairs(("bot", "top"), (("bot", "top"),))
-    assert atoms(two) == {"top"}
+    assert two.atoms() == {"top"}
 
 
 def test_down_sets(lat):

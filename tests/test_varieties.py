@@ -9,7 +9,6 @@ from varietylab import models, verify
 from varietylab.terms import Mode, Word, normalize_is, parse_identity, substitute
 from varietylab.varieties import (
     _COMPONENT_KEYS,
-    Component,
     Variety,
     compare_partitions,
     decide,
@@ -192,7 +191,7 @@ def test_keys_match_generators_up_to_length_six():
 
 def test_check_06_counts_a_planted_fault(monkeypatch):
     # M's key forgets the commutative law xy = yx
-    monkeypatch.setitem(_COMPONENT_KEYS, Component.M, _COMPONENT_KEYS[Component.N])
+    monkeypatch.setitem(_COMPONENT_KEYS, Variety.M, _COMPONENT_KEYS[Variety.N])
     words = exhaustive_identity_words()
     expected = 0
     for v, classes in _generator_oracles(words).items():
@@ -214,7 +213,7 @@ def test_check_06_counts_a_planted_fault(monkeypatch):
 
 def test_substitution_closure_catches_a_planted_fault(monkeypatch):
     # SL's key counts letters instead of naming them, which substitution breaks
-    monkeypatch.setitem(_COMPONENT_KEYS, Component.SL, lambda w: len(str(w)))
+    monkeypatch.setitem(_COMPONENT_KEYS, Variety.SL, lambda w: len(str(w)))
     res = verify.invariant_substitution_closure(seed=3, samples=50)
     assert not res.passed
     found = re.search(r"failures=(\d+) first=(\S+): (.+ = .+) -> (.+ = .+)$", res.detail)
