@@ -1,8 +1,7 @@
 """Exhaustive generation of small algebras up to isomorphism.
 
-Tables are filled cell by cell with backtracking, row 0 and column 0 first.
-The distinguished element is pinned at index 0 (isomorphisms preserve it, so
-no class is lost).
+Tables are filled cell by cell with backtracking.  The distinguished element
+is pinned at index 0 (isomorphisms preserve it, so no class is lost).
 
 Each axiom instance (an axiom with elements bound to its variables) is a
 short program of table lookups.  A search node receives from its parent the
@@ -21,11 +20,20 @@ Zhang, IJCAI 1995).  Let mdn be the largest element that occurs so far as a
 cell index or an assigned value.  Elements above max(mdn, i, j) are then
 interchangeable, so cell (i, j) tries values only up to that bound plus one.
 
+The first 2n-1 cells, row 0 and column 0, are filled in a fixed order:
+(0,0), (0,1), (1,0), (0,2), (2,0), ...  The heuristic acts only there: once
+(0, n-1) is set, mdn = n-1 and every cell tries every value.  Below that
+prefix, any order of the remaining cells therefore visits the same complete
+tables, and the walk branches fail-first (Haralick and Elliott, Artificial
+Intelligence 14, 1980) on the free cell with the most instances waiting on
+it, the lowest cell i*n + j among equals.  The choice moves the values tried
+and the prunes of `SearchStats`, never its complete tables.
+
 A complete table is checked once more by `models.check_axioms`, which is
 independent of the search.  `SearchStats` counts the values tried, the
 prunes, the complete tables and those the leaf check rejected.  Several
-workers walk the same tree as one: it is cut after row 0 and column 0, and
-each node there is one chunk; a single worker walks it uncut.
+workers walk the same tree as one: it is cut at the end of the fixed prefix,
+and each node there is one chunk; a single worker walks it uncut.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import itertools
 import multiprocessing
 import operator
 import os
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,6 +68,7 @@ class EnumerationReport:
     algebras: tuple
     per_variety: dict | None = None
     stats: SearchStats | None = None
+    elapsed_s: float | None = None  # wall time of the walk that made the census
 
     @property
     def count(self) -> int:
@@ -106,9 +116,8 @@ def algebra_from_canonical(blob: bytes) -> FiniteAlgebra:
 # sides.  An undetermined instance is (left, registers, program), where the
 # first of the last `left` steps reads an undefined cell.  Nothing about the
 # instance changes until that cell is set, so pending instances are kept in
-# one list per cell, indexed by its rank in the fill order.  Each list is
-# sorted, fewest steps left first, so that a failing instance tends to be
-# met early.
+# one list per cell, indexed by the cell's i*n + j.  Each list is sorted,
+# fewest steps left first, so that a failing instance tends to be met early.
 
 O, X, Y, Z = 0, 1, 2, 3
 
@@ -157,18 +166,15 @@ def _compile(law):
     return arity, tuple(steps), lhs, rhs
 
 
-def _cell_order(n: int):
-    cells = [(0, 0)]
+def _prefix(n: int) -> list:
+    """Row 0 and column 0 as cells i*n + j, in their fixed fill order."""
+    cells = [0]
     for j in range(1, n):
-        cells.append((0, j))
-        cells.append((j, 0))
-    for i in range(1, n):
-        for j in range(1, n):
-            cells.append((i, j))
+        cells += [j, j * n]
     return cells
 
 
-def _root(n: int, mode: Mode, rank):
+def _root(n: int, mode: Mode):
     """The root node: depth, empty table, every instance, largest element used."""
     pending = [[] for _ in range(n * n)]
     for law in _LAWS[mode]:
@@ -176,32 +182,32 @@ def _root(n: int, mode: Mode, rank):
         a, b = steps[0]
         for values in itertools.product(range(n), repeat=arity):
             regs = (0, *values)
-            pending[rank[regs[a]][regs[b]]].append((len(steps), regs, (steps, lhs, rhs)))
+            pending[regs[a] * n + regs[b]].append((len(steps), regs, (steps, lhs, rhs)))
     return 0, ((None,) * n,) * n, [sorted(due) for due in pending], 0
 
 
-def _propagate(pending, k, t, rank):
-    """The instances still undetermined once the cell of rank k is set, or
-    None if one fails.  `pending` and its lists are not changed."""
+def _propagate(pending, c, t, n):
+    """The instances still undetermined once cell c is set, or None if one
+    fails.  `pending` and its lists are not changed."""
     moved = []
-    for left, regs, program in pending[k]:
+    for left, regs, program in pending[c]:
         steps, lhs, rhs = program
         regs = list(regs)
         for done, (a, b) in enumerate(steps[len(steps) - left:]):
             x, y = regs[a], regs[b]
             value = t[x][y]
             if value is None:
-                moved.append((rank[x][y], (left - done, tuple(regs), program)))
+                moved.append((x * n + y, (left - done, tuple(regs), program)))
                 break
             regs.append(value)
         else:
             if regs[lhs] != regs[rhs]:
                 return None
     kept = pending.copy()
-    for r, inst in moved:
-        if kept[r] is pending[r]:
-            kept[r] = pending[r].copy()
-        bisect.insort(kept[r], inst)
+    for cell, inst in moved:
+        if kept[cell] is pending[cell]:
+            kept[cell] = pending[cell].copy()
+        bisect.insort(kept[cell], inst)
     return kept
 
 
@@ -210,11 +216,9 @@ def _search(order: int, mode: Mode, node=None, stop=None):
     nodes reached at depth `stop` or, with no stop, the complete tables that
     pass check_axioms; and the walk's SearchStats."""
     n = order
-    cells = _cell_order(n)
-    rank = [[0] * n for _ in range(n)]
-    for k, (i, j) in enumerate(cells):
-        rank[i][j] = k
-    depth, table, pending, mdn = _root(n, mode, rank) if node is None else node
+    prefix = _prefix(n)
+    inner = [i * n + j for i in range(1, n) for j in range(1, n)]
+    depth, table, pending, mdn = _root(n, mode) if node is None else node
     t = [list(row) for row in table]
     out = []
     nodes = prunes = leaves = leaf_rejects = 0
@@ -224,7 +228,7 @@ def _search(order: int, mode: Mode, node=None, stop=None):
         if k == stop:
             out.append((k, tuple(map(tuple, t)), pending, mdn))
             return
-        if k == len(cells):
+        if k == n * n:
             leaves += 1
             table = tuple(map(tuple, t))
             if check_axioms(make_algebra(table, 0), mode).passed:
@@ -232,13 +236,20 @@ def _search(order: int, mode: Mode, node=None, stop=None):
             else:
                 leaf_rejects += 1
             return
-        i, j = cells[k]
+        if k < len(prefix):
+            c = prefix[k]
+        else:
+            # fail first: the free cell with the most waiting instances; max
+            # keeps the first, lowest cell among equals
+            free = (c for c in inner if t[c // n][c % n] is None)
+            c = max(free, key=lambda c: len(pending[c]))
+        i, j = divmod(c, n)
         # least-number heuristic: the elements above max(mdn, i, j) are
         # interchangeable so far, so only the first of them is tried
         for v in range(min(n - 1, max(mdn, i, j) + 1) + 1):
             nodes += 1
             t[i][j] = v
-            kept = _propagate(pending, k, t, rank)
+            kept = _propagate(pending, c, t, n)
             if kept is None:
                 prunes += 1
             else:
@@ -269,8 +280,10 @@ def enumerate_algebras(order: int, mode: Mode, jobs: int = 1) -> EnumerationRepo
     mode = Mode(mode)
     key = (order, mode)
     if key not in _cache:
-        _cache[key] = _census(order, mode, jobs)
-    blobs, stats = _cache[key]
+        t0 = time.perf_counter()
+        blobs, stats = _census(order, mode, jobs)
+        _cache[key] = blobs, stats, time.perf_counter() - t0
+    blobs, stats, elapsed_s = _cache[key]
     algebras = tuple(algebra_from_canonical(b) for b in blobs)
     per_variety = None
     if mode is Mode.IS:
@@ -278,14 +291,18 @@ def enumerate_algebras(order: int, mode: Mode, jobs: int = 1) -> EnumerationRepo
         for a in algebras:
             v = varieties.variety_of(a)
             per_variety[v] = per_variety.get(v, 0) + 1
-    return EnumerationReport(order, mode, algebras, per_variety, stats)
+    return EnumerationReport(order, mode, algebras, per_variety, stats, elapsed_s)
 
 
 def _census(order: int, mode: Mode, jobs: int) -> tuple:
     """Sorted canonical blobs and the summed SearchStats.  One worker walks
-    the whole tree at once.  For more, the tree is cut after row 0 and
-    column 0 (the first 2n-1 cells) and the nodes there are walked as
-    chunks, in worker processes when more than one is useful."""
+    the whole tree at once.  For more, the tree is cut at the end of the
+    fixed prefix (row 0 and column 0, the first 2n-1 cells) and the nodes
+    there are walked as chunks, in worker processes when more than one is
+    useful.  A node carries its table, its instance lists and mdn, and the
+    walk below it picks its cells from those alone, so the chunks together
+    walk the uncut tree: every worker count gives the same blobs and the
+    same summed SearchStats."""
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1:
         blobs, stats = _solve_chunk((order, mode, None))

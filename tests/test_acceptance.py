@@ -7,6 +7,7 @@ verify-paper command.
 import pytest
 
 from varietylab import enumeration, verify
+from varietylab.terms import Mode
 
 
 def report(result):
@@ -80,6 +81,14 @@ def test_criterion_11_compares_two_different_walks(monkeypatch):
     faulty = True
     res = verify.check_11_subdirect_decomposition(2)
     assert not res.passed and "worker count changes the order-4 census" in res.detail
+
+
+def test_criterion_11_budget_times_the_cached_walk(monkeypatch):
+    # a census cached by an earlier, slow walk: the call itself is a lookup
+    blobs, stats = enumeration._census(4, Mode.IS, 1)
+    monkeypatch.setattr(enumeration, "_cache", {(4, Mode.IS): (blobs, stats, 600.0)})
+    res = verify.check_11_subdirect_decomposition(1)
+    assert not res.passed and "order-4 enumeration too slow (600s)" in res.detail
 
 
 def test_criterion_12_tree_mode_models():

@@ -90,10 +90,12 @@ def test_canonical_form_examples():
 
 def test_parallel_matches_sequential():
     # blobs and search counts alike: the chunked walk of two workers and the
-    # uncut walk of one visit the same tree
+    # uncut walk of one visit the same tree, also where each chunk chooses
+    # its own cells below the cut
     assert _census(3, Mode.IS, 2) == _census(3, Mode.IS, 1)
     assert _census(3, Mode.IZ, 2) == _census(3, Mode.IZ, 1)
     assert _census(4, Mode.IS, 2) == _census(4, Mode.IS, 1)
+    assert _census(4, Mode.IZ, 2) == _census(4, Mode.IZ, 1)
 
 
 @pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
@@ -120,14 +122,32 @@ def test_order_four_census_matches_pinned_digest(mode):
 @pytest.mark.parametrize(
     "mode, stats",
     [
-        (Mode.IS, SearchStats(nodes=2847, prunes=2023, leaves=112, leaf_rejects=0)),
-        (Mode.IZ, SearchStats(nodes=168888, prunes=125636, leaves=1029, leaf_rejects=0)),
+        (Mode.IS, SearchStats(nodes=1983, prunes=1375, leaves=112, leaf_rejects=0)),
+        (Mode.IZ, SearchStats(nodes=12264, prunes=8168, leaves=1029, leaf_rejects=0)),
     ],
 )
 def test_order_four_search_counts(mode, stats):
     # the leaf check_axioms never rejects a table the instance checks let
-    # through; the other counts pin the pruning and the symmetry breaking
+    # through; the other counts pin the pruning, the symmetry breaking and
+    # (nodes and prunes only) the choice of the next cell
     assert enumerate_algebras(4, mode).stats == stats
+
+
+def test_order_five_associative_census_matches_pinned_digest():
+    # digest taken from the walk that filled the cells in row-major order
+    blobs = _enumerate(5, Mode.IS, 1)
+    assert (len(blobs), hashlib.sha256(b"".join(blobs)).hexdigest()) == (
+        206,
+        "d7e067e0410f415a1e9aa3a9e32ec56fe20065802810888bbae74ec13393f7da",
+    )
+
+
+def test_report_carries_the_time_of_the_walk_that_ran(monkeypatch):
+    monkeypatch.setattr(enumeration, "_cache", {})
+    first = enumerate_algebras(3, Mode.IZ)
+    assert first.elapsed_s > 0
+    # a cache hit reports the cached walk's time, whatever jobs asks for
+    assert enumerate_algebras(3, Mode.IZ, jobs=2).elapsed_s == first.elapsed_s
 
 
 def test_jobs_clamped_to_cpus_and_chunks(monkeypatch):
