@@ -130,6 +130,17 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    """A worker count: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varietylab",
@@ -138,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="VARIETYLAB_SEED seeds the randomized sweeps in verify-paper.",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for enumeration sweeps"
+        "--jobs", type=_jobs, default=1, help="worker processes for enumeration sweeps"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -170,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--mode", choices=[m.value for m in Mode], required=True)
     # SUPPRESS keeps the subcommand flag from clobbering the global one
-    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--jobs", type=_jobs, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("replay", help="check a derivation script")
@@ -181,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-paper",
         help="run the complete reproduction suite; nonzero exit on any failure",
     )
-    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--jobs", type=_jobs, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -29,11 +29,14 @@ Intelligence 14, 1980) on the free cell with the most instances waiting on
 it, the lowest cell i*n + j among equals.  The choice moves the values tried
 and the prunes of `SearchStats`, never its complete tables.
 
-A complete table is checked once more by `models.check_axioms`, which is
-independent of the search.  `SearchStats` counts the values tried, the
-prunes, the complete tables and those the leaf check rejected.  Several
-workers walk the same tree as one: it is cut at the end of the fixed prefix,
-and each node there is one chunk; a single worker walks it uncut.
+A complete table is turned into its canonical form at the leaf and goes into
+a set, so the walk keeps one blob per isomorphism class, not its tables.
+Once the walk is done, `models.check_axioms`, which is independent of the
+search, checks each class once, on the representative that is output.
+`SearchStats` counts the values tried, the prunes, the complete tables and
+the classes that check rejected.  Several workers walk the same tree as one:
+it is cut at the end of the fixed prefix, and each node there is one chunk; a
+single worker walks it uncut.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .models import (
 from .terms import Mode
 from .varieties import Variety
 
-MAX_ORDER = 4
+MAX_ORDER = 5
 
 
 @dataclass
@@ -143,8 +146,8 @@ class SearchStats(NamedTuple):
 
     nodes: int  # values tried at a cell
     prunes: int  # values an instance rejected
-    leaves: int  # complete tables handed to check_axioms
-    leaf_rejects: int  # complete tables check_axioms rejected
+    leaves: int  # complete tables, each canonicalised into the walk's set
+    leaf_rejects: int  # classes whose representative check_axioms rejected
 
 
 def _atoms(term) -> tuple:
@@ -213,28 +216,25 @@ def _propagate(pending, c, t, n):
 
 def _search(order: int, mode: Mode, node=None, stop=None):
     """Walk the search tree below `node` (the root when None).  Return the
-    nodes reached at depth `stop` or, with no stop, the complete tables that
-    pass check_axioms; and the walk's SearchStats."""
+    nodes reached at depth `stop` or, with no stop, the set of canonical
+    forms of the complete tables; and the walk's SearchStats, whose
+    leaf_rejects is left to `_census`."""
     n = order
     prefix = _prefix(n)
     inner = [i * n + j for i in range(1, n) for j in range(1, n)]
     depth, table, pending, mdn = _root(n, mode) if node is None else node
     t = [list(row) for row in table]
-    out = []
-    nodes = prunes = leaves = leaf_rejects = 0
+    out = [] if stop is not None else set()
+    nodes = prunes = leaves = 0
 
     def walk(k, pending, mdn):
-        nonlocal nodes, prunes, leaves, leaf_rejects
+        nonlocal nodes, prunes, leaves
         if k == stop:
             out.append((k, tuple(map(tuple, t)), pending, mdn))
             return
         if k == n * n:
             leaves += 1
-            table = tuple(map(tuple, t))
-            if check_axioms(make_algebra(table, 0), mode).passed:
-                out.append(table)
-            else:
-                leaf_rejects += 1
+            out.add(canonical_form(make_algebra(t, 0)))
             return
         if k < len(prefix):
             c = prefix[k]
@@ -257,13 +257,12 @@ def _search(order: int, mode: Mode, node=None, stop=None):
         t[i][j] = None
 
     walk(depth, pending, mdn)
-    return out, SearchStats(nodes, prunes, leaves, leaf_rejects)
+    return out, SearchStats(nodes, prunes, leaves, 0)
 
 
 def _solve_chunk(args):
     order, mode, node = args
-    tables, stats = _search(order, mode, node)
-    return [canonical_form(make_algebra(table, 0)) for table in tables], stats
+    return _search(order, mode, node)
 
 
 _cache: dict = {}
@@ -277,6 +276,8 @@ def enumerate_algebras(order: int, mode: Mode, jobs: int = 1) -> EnumerationRepo
         raise ValueError("order must be at least 1")
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds the enumeration bound {MAX_ORDER}")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     mode = Mode(mode)
     key = (order, mode)
     if key not in _cache:
@@ -301,25 +302,31 @@ def _census(order: int, mode: Mode, jobs: int) -> tuple:
     there are walked as chunks, in worker processes when more than one is
     useful.  A node carries its table, its instance lists and mdn, and the
     walk below it picks its cells from those alone, so the chunks together
-    walk the uncut tree: every worker count gives the same blobs and the
-    same summed SearchStats."""
+    walk the uncut tree.  The walks' sets of blobs are merged, and then
+    check_axioms runs once per class, on the representative that is output;
+    leaf_rejects counts the classes it rejects.  So every worker count gives
+    the same blobs and the same summed SearchStats."""
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1:
-        blobs, stats = _solve_chunk((order, mode, None))
-        return tuple(sorted(set(blobs))), stats
-    frontier, stats = _search(order, mode, stop=2 * order - 1)
-    chunks = [(order, mode, node) for node in frontier]
-    jobs = min(jobs, len(chunks))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_solve_chunk, chunks)
+        blobs, stats = _search(order, mode)
     else:
-        parts = map(_solve_chunk, chunks)
-    blobs = set()
-    for chunk_blobs, chunk_stats in parts:
-        blobs.update(chunk_blobs)
-        stats = SearchStats(*map(operator.add, stats, chunk_stats))
-    return tuple(sorted(blobs)), stats
+        frontier, stats = _search(order, mode, stop=2 * order - 1)
+        chunks = [(order, mode, node) for node in frontier]
+        jobs = min(jobs, len(chunks))
+        if jobs > 1:
+            with multiprocessing.Pool(jobs) as pool:
+                parts = pool.map(_solve_chunk, chunks)
+        else:
+            parts = map(_solve_chunk, chunks)
+        blobs = set()
+        for chunk_blobs, chunk_stats in parts:
+            blobs |= chunk_blobs
+            stats = SearchStats(*map(operator.add, stats, chunk_stats))
+    passed = tuple(
+        blob for blob in sorted(blobs)
+        if check_axioms(algebra_from_canonical(blob), mode).passed
+    )
+    return passed, stats._replace(leaf_rejects=len(blobs) - len(passed))
 
 
 def _enumerate(order: int, mode: Mode, jobs: int) -> tuple:

@@ -212,11 +212,15 @@ def variety_of(a: models.FiniteAlgebra) -> Variety:
     report = models.check_axioms(a, Mode.IS)
     if not report.passed:
         raise models.AxiomViolationError(report)
-    sat = [
-        rec.id
-        for rec in registry()
-        if all(models.satisfies(a, ident).holds for ident in rec.basis)
-    ]
+    # the bases share identities (xy = yx is in five), so each is evaluated once
+    holds = {}
+
+    def sat_one(ident):
+        if ident not in holds:
+            holds[ident] = models.satisfies(a, ident).holds
+        return holds[ident]
+
+    sat = [rec.id for rec in registry() if all(map(sat_one, rec.basis))]
     least = [v for v in sat if all(generator_leq(v, w) for w in sat)]
     if len(least) != 1:
         raise RuntimeError(f"no unique least variety among {sat}")

@@ -110,6 +110,21 @@ def test_enumerate_bound(capsys):
     assert code == 2 and "bound" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--jobs", "0", "enumerate", "--order", "2", "--mode", "is"],
+        ["--jobs", "-3", "enumerate", "--order", "2", "--mode", "is"],
+        ["enumerate", "--order", "2", "--mode", "is", "--jobs", "0"],
+        ["verify-paper", "--jobs", "0"],
+    ],
+)
+def test_jobs_below_one_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_replay_pass_and_fail(capsys, tmp_path):
     from varietylab.derivations import render_script, shipped_scripts
 

@@ -34,11 +34,37 @@ def brute_force_census(order, mode):
     return tuple(sorted(blobs))
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces multiprocessing.Pool by a fake that maps in this process;
+    returns the list of the process counts asked of it."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    return sizes
+
+
 def test_bounds_enforced():
     with pytest.raises(ValueError):
-        enumerate_algebras(5, Mode.IS)
+        enumerate_algebras(6, Mode.IS)
     with pytest.raises(ValueError):
         enumerate_algebras(0, Mode.IS)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            enumerate_algebras(2, Mode.IS, jobs=jobs)
 
 
 def test_order_one():
@@ -127,9 +153,11 @@ def test_order_four_census_matches_pinned_digest(mode):
     ],
 )
 def test_order_four_search_counts(mode, stats):
-    # the leaf check_axioms never rejects a table the instance checks let
-    # through; the other counts pin the pruning, the symmetry breaking and
-    # (nodes and prunes only) the choice of the next cell
+    # each leaf is canonicalised into a set, and check_axioms, run once per
+    # class on the output representative, rejects no class the instance
+    # checks let through (leaf_rejects counts classes); the other counts pin
+    # the pruning, the symmetry breaking and (nodes and prunes only) the
+    # choice of the next cell
     assert enumerate_algebras(4, mode).stats == stats
 
 
@@ -142,6 +170,26 @@ def test_order_five_associative_census_matches_pinned_digest():
     )
 
 
+def test_order_five_associative_report():
+    rep = enumerate_algebras(5, Mode.IS)
+    assert rep.count == 206
+    assert sum(rep.per_variety.values()) == 206
+
+
+@pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
+def test_class_check_catches_a_planted_fault(monkeypatch, pool_sizes, mode):
+    # with all laws but the first gone, the walk lets through tables that
+    # break the axioms; the check once per class must drop them, in the
+    # uncut and the chunked census alike
+    monkeypatch.setitem(enumeration._LAWS, mode, enumeration._LAWS[mode][:1])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    blobs, stats = serial = _census(3, mode, 1)
+    assert blobs == brute_force_census(3, mode)
+    assert stats.leaf_rejects > 0
+    assert _census(3, mode, 2) == serial
+    assert pool_sizes == [2]
+
+
 def test_report_carries_the_time_of_the_walk_that_ran(monkeypatch):
     monkeypatch.setattr(enumeration, "_cache", {})
     first = enumerate_algebras(3, Mode.IZ)
@@ -150,25 +198,8 @@ def test_report_carries_the_time_of_the_walk_that_ran(monkeypatch):
     assert enumerate_algebras(3, Mode.IZ, jobs=2).elapsed_s == first.elapsed_s
 
 
-def test_jobs_clamped_to_cpus_and_chunks(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        """Records the process count asked for and maps in this process."""
-
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+def test_jobs_clamped_to_cpus_and_chunks(monkeypatch, pool_sizes):
+    sizes = pool_sizes
     serial = _census(3, Mode.IZ, 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert _census(3, Mode.IZ, 1000) == serial

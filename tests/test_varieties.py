@@ -140,6 +140,46 @@ def test_variety_of():
     assert variety_of(models.builtin("M")) is Variety.M
 
 
+def _variety_of_per_variety_loop(a):
+    # the reference: every basis identity of every variety evaluated anew
+    sat = [
+        rec.id
+        for rec in registry()
+        if all(models.satisfies(a, i).holds for i in rec.basis)
+    ]
+    (least,) = [v for v in sat if all(generator_leq(v, w) for w in sat)]
+    return least
+
+
+ASSOCIATIVE_BUILTINS = ("trivial", "A", "B", "K", "L", "M", "Z")
+
+
+def test_variety_of_evaluates_each_distinct_identity_once(monkeypatch):
+    algebras = [
+        models.builtin(name)
+        for name in models.BUILTIN_NAMES
+        if models.check_axioms(models.builtin(name), Mode.IS).passed
+    ]
+    algebras += [
+        models.direct_product(models.builtin(a), models.builtin(b))
+        for a, b in itertools.combinations_with_replacement(ASSOCIATIVE_BUILTINS, 2)
+    ]
+    assert len(algebras) == 9 + 28
+    want = [_variety_of_per_variety_loop(a) for a in algebras]
+    calls = []
+    satisfies = models.satisfies
+
+    def counting_satisfies(a, ident):
+        calls.append(ident)
+        return satisfies(a, ident)
+
+    monkeypatch.setattr(models, "satisfies", counting_satisfies)
+    for a, v in zip(algebras, want):
+        calls.clear()
+        assert variety_of(a) is v
+        assert len(calls) == len(set(calls)) <= 10
+
+
 def test_variety_of_rejects_non_algebra():
     with pytest.raises(models.AxiomViolationError) as exc:
         variety_of(models.builtin("2b"))
