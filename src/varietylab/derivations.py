@@ -22,6 +22,7 @@ from .terms import (
     Mode,
     TreeTerm,
     Word,
+    numbered_lines,
     parse_identity,
     parse_term,
     parse_word,
@@ -199,71 +200,84 @@ _PREMISE_RE = re.compile(r"(\S+?)(?:\s+\[(premise|proven)\])?\s*:\s*(.+)$")
 
 
 def parse_script(text: str) -> Script:
-    lines = []
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].rstrip()
-        if body.strip():
-            lines.append(body.strip())
-    def expect(prefix, line):
-        if not line.startswith(prefix):
-            raise ValueError(f"expected {prefix!r}, got {line!r}")
-        return line[len(prefix):].strip()
+    """Read the script format that `render_script` writes.  ``#`` starts a
+    comment, blank lines are skipped.  A ValueError names the 1-based line of
+    the text it is about."""
+    numbered, end = numbered_lines(text)
+    lines = [body for _, body in numbered]
+    pos = 0  # the line being read, an index into lines
 
-    if len(lines) < 4:
-        raise ValueError("script too short")
-    mode = Mode(expect("mode:", lines[0]))
-    name = expect("name:", lines[1])
-    pos = 2
-    premises = []
-    if pos < len(lines) and lines[pos].startswith("premises:"):
-        trailing = lines[pos][len("premises:"):].strip()
-        if trailing:
-            raise ValueError("premises go on their own lines")
-        pos += 1
-        while pos < len(lines) and not lines[pos].startswith("goal:"):
-            m = _PREMISE_RE.match(lines[pos])
-            if not m:
-                raise ValueError(f"bad premise line {lines[pos]!r}")
-            label, kindword, ident_text = m.groups()
-            if label in AXIOM_LABELS:
-                raise ValueError(f"label {label!r} is reserved for axioms")
-            kind = Kind.PROVEN if kindword == "proven" else Kind.PREMISE
-            premises.append(Rule(label, parse_identity(ident_text, mode), kind))
+    def expect(prefix):
+        if pos == len(lines):
+            raise ValueError(f"expected {prefix!r}, got the end of the script")
+        if not lines[pos].startswith(prefix):
+            raise ValueError(f"expected {prefix!r}, got {lines[pos]!r}")
+        return lines[pos][len(prefix):].strip()
+
+    try:
+        if len(lines) < 4:
+            pos = len(lines)
+            raise ValueError("script too short")
+        mode = Mode(expect("mode:"))
+        pos = 1
+        name = expect("name:")
+        pos = 2
+        premises = []
+        if lines[pos].startswith("premises:"):
+            trailing = lines[pos][len("premises:"):].strip()
+            if trailing:
+                raise ValueError("premises go on their own lines")
             pos += 1
-    goal = parse_identity(expect("goal:", lines[pos]), mode)
-    pos += 1
-    start_text = expect("start:", lines[pos])
-    start = parse_word(start_text) if mode is Mode.IS else parse_term(start_text)
-    pos += 1
-    steps = []
-    for line in lines[pos:]:
-        m = _STEP_RE.match(line)
-        if not m:
-            raise ValueError(f"bad step line {line!r}")
-        label, direction, pos_text, sub_text, result_text = m.groups()
-        if mode is Mode.IS:
-            lo, dots, hi = pos_text.partition("..")
-            if not (dots and lo.isdecimal() and hi.isdecimal()):
-                raise ValueError(f"bad position in {line!r}: flat mode takes a range i..j")
-            position: object = (int(lo), int(hi))
-        else:
-            if pos_text != "e" and not set(pos_text) <= {"L", "R"}:
-                raise ValueError(f"bad position in {line!r}: tree mode takes e or an L/R path")
-            position = pos_text
-        substitution = {}
-        if sub_text.strip():
-            for binding in sub_text.split(","):
-                var, _, image = binding.partition("=")
-                var = var.strip()
-                if not var:
-                    raise ValueError(f"bad binding in {line!r}")
-                image = image.strip()
-                substitution[var] = (
-                    parse_word(image) if mode is Mode.IS else parse_term(image)
-                )
-        result = parse_word(result_text) if mode is Mode.IS else parse_term(result_text)
-        steps.append(Step(label, Direction(direction), position, substitution, result))
+            while pos < len(lines) and not lines[pos].startswith("goal:"):
+                m = _PREMISE_RE.match(lines[pos])
+                if not m:
+                    raise ValueError(f"bad premise line {lines[pos]!r}")
+                label, kindword, ident_text = m.groups()
+                if label in AXIOM_LABELS:
+                    raise ValueError(f"label {label!r} is reserved for axioms")
+                kind = Kind.PROVEN if kindword == "proven" else Kind.PREMISE
+                premises.append(Rule(label, parse_identity(ident_text, mode), kind))
+                pos += 1
+        goal = parse_identity(expect("goal:"), mode)
+        pos += 1
+        start_text = expect("start:")
+        start = parse_word(start_text) if mode is Mode.IS else parse_term(start_text)
+        steps = []
+        for pos in range(pos + 1, len(lines)):
+            steps.append(_parse_step(lines[pos], mode))
+    except ValueError as exc:
+        number = numbered[pos][0] if pos < len(lines) else end
+        raise ValueError(f"{exc} (line {number})") from None
     return Script(mode, name, premises, goal, start, steps)
+
+
+def _parse_step(line: str, mode: Mode) -> Step:
+    m = _STEP_RE.match(line)
+    if not m:
+        raise ValueError(f"bad step line {line!r}")
+    label, direction, pos_text, sub_text, result_text = m.groups()
+    if mode is Mode.IS:
+        lo, dots, hi = pos_text.partition("..")
+        if not (dots and lo.isdecimal() and hi.isdecimal()):
+            raise ValueError(f"bad position in {line!r}: flat mode takes a range i..j")
+        position: object = (int(lo), int(hi))
+    else:
+        if pos_text != "e" and not set(pos_text) <= {"L", "R"}:
+            raise ValueError(f"bad position in {line!r}: tree mode takes e or an L/R path")
+        position = pos_text
+    substitution = {}
+    if sub_text.strip():
+        for binding in sub_text.split(","):
+            var, _, image = binding.partition("=")
+            var = var.strip()
+            if not var:
+                raise ValueError(f"bad binding in {line!r}")
+            image = image.strip()
+            substitution[var] = (
+                parse_word(image) if mode is Mode.IS else parse_term(image)
+            )
+    result = parse_word(result_text) if mode is Mode.IS else parse_term(result_text)
+    return Step(label, Direction(direction), position, substitution, result)
 
 
 def render_script(script: Script) -> str:

@@ -29,14 +29,22 @@ Intelligence 14, 1980) on the free cell with the most instances waiting on
 it, the lowest cell i*n + j among equals.  The choice moves the values tried
 and the prunes of `SearchStats`, never its complete tables.
 
-A complete table is turned into its canonical form at the leaf and goes into
-a set, so the walk keeps one blob per isomorphism class, not its tables.
-Once the walk is done, `models.check_axioms`, which is independent of the
-search, checks each class once, on the representative that is output.
-`SearchStats` counts the values tried, the prunes, the complete tables and
-the classes that check rejected.  Several workers walk the same tree as one:
-it is cut at the end of the fixed prefix, and each node there is one chunk; a
-single worker walks it uncut.
+The table is one flat list, cell (i, j) at index i*n + j, the index the
+instance lists use too.  A complete table is turned into its canonical form
+at the leaf and goes into a set, so the walk keeps one blob per isomorphism
+class, not its tables.  Once the walk is done, `models.check_axioms`, which
+is independent of the search, checks each class once, on the representative
+that is output.  `SearchStats` counts the values tried, the prunes, the
+complete tables and the classes that check rejected.  Several workers walk
+the same tree as one: it is cut at the end of the fixed prefix, and each
+node there is one chunk; a single worker walks it uncut.
+
+`canonical_form` tries the relabelings that fix 0 in C-level operations: a
+relabeling is an `operator.itemgetter` over the flat cells and a 256-byte
+`bytes.translate` map over the values, and the (n-1)! of them are built once
+per order.  A distinguished element d other than 0 is first swapped with 0,
+so one table per order serves every d.  Only the tables of orders up to
+MAX_ORDER are kept, so what is held cannot grow with the inputs.
 """
 
 from __future__ import annotations
@@ -80,26 +88,48 @@ class EnumerationReport:
 
 def canonical_form(a: FiniteAlgebra) -> bytes:
     """Lexicographically least byte serialization over relabelings that send
-    the distinguished element to index 0.  Equal bytes iff isomorphic."""
+    the distinguished element to index 0.  Equal bytes iff isomorphic.
+
+    A distinguished element d other than 0 is first swapped with 0.  Every
+    relabeling that sends d to 0 is a relabeling that fixes 0 after that
+    transposition, so one table of the (n-1)! relabelings that fix 0 serves
+    every d (see `_relabelings`)."""
     n = a.order
+    if n == 1:  # one cell; an itemgetter of one index would not give a tuple
+        return bytes([1, a.table[0][0]])
     d = a.distinguished
-    rest = [i for i in range(n) if i != d]
-    best = None
-    for image in itertools.permutations(range(1, n)):
-        pi = [0] * n
-        pi[d] = 0
-        inv = [d] * n
-        for new, old in zip(image, rest):
-            pi[old] = new
-            inv[new] = old
-        flat = bytes(
-            pi[a.table[inv[p]][inv[q]]] for p in range(n) for q in range(n)
-        )
-        if best is None or flat < best:
-            best = flat
-    if best is None:  # order 1
-        best = bytes([a.table[0][0]])
+    if d:
+        swap = list(range(n))
+        swap[0], swap[d] = d, 0
+        rows = a.table
+        flat = bytes(swap[rows[swap[p]][swap[q]]] for p in range(n) for q in range(n))
+    else:
+        flat = bytes(itertools.chain.from_iterable(a.table))
+    best = min(bytes(get(flat)).translate(pi) for get, pi in _relabelings(n))
     return bytes([n]) + best
+
+
+_RELABELINGS: dict = {}  # order -> its relabelings, for orders up to MAX_ORDER
+
+
+def _relabelings(n: int) -> list:
+    """The relabelings of order n > 1 that fix 0, each as a pair (get, pi):
+    `get` takes a flat table's cells in the relabeled row-major order, and
+    `pi` is the 256-byte `bytes.translate` map from old values to new.  Kept
+    for orders up to MAX_ORDER, built afresh above it."""
+    table = _RELABELINGS.get(n)
+    if table is None:
+        table = []
+        for image in itertools.permutations(range(1, n)):
+            pi = (0, *image)  # old label -> new label
+            inv = [0] * n
+            for old, new in enumerate(pi):
+                inv[new] = old
+            cells = [inv[p] * n + inv[q] for p in range(n) for q in range(n)]
+            table.append((operator.itemgetter(*cells), bytes(pi).ljust(256, b"\0")))
+        if n <= MAX_ORDER:
+            _RELABELINGS[n] = table
+    return table
 
 
 def algebra_from_canonical(blob: bytes) -> FiniteAlgebra:
@@ -178,7 +208,8 @@ def _prefix(n: int) -> list:
 
 
 def _root(n: int, mode: Mode):
-    """The root node: depth, empty table, every instance, largest element used."""
+    """The root node: depth, empty flat table, every instance, largest
+    element used."""
     pending = [[] for _ in range(n * n)]
     for law in _LAWS[mode]:
         arity, steps, lhs, rhs = _compile(law)
@@ -186,23 +217,27 @@ def _root(n: int, mode: Mode):
         for values in itertools.product(range(n), repeat=arity):
             regs = (0, *values)
             pending[regs[a] * n + regs[b]].append((len(steps), regs, (steps, lhs, rhs)))
-    return 0, ((None,) * n,) * n, [sorted(due) for due in pending], 0
+    return 0, (None,) * (n * n), [sorted(due) for due in pending], 0
 
 
 def _propagate(pending, c, t, n):
-    """The instances still undetermined once cell c is set, or None if one
-    fails.  `pending` and its lists are not changed."""
+    """The instances still undetermined once cell c of the flat table t is
+    set, or None if one fails.  `pending` and its lists are not changed."""
     moved = []
     for left, regs, program in pending[c]:
         steps, lhs, rhs = program
         regs = list(regs)
-        for done, (a, b) in enumerate(steps[len(steps) - left:]):
-            x, y = regs[a], regs[b]
-            value = t[x][y]
+        k = len(steps) - left
+        while left:
+            a, b = steps[k]
+            cell = regs[a] * n + regs[b]
+            value = t[cell]
             if value is None:
-                moved.append((x * n + y, (left - done, tuple(regs), program)))
+                moved.append((cell, (left, tuple(regs), program)))
                 break
             regs.append(value)
+            k += 1
+            left -= 1
         else:
             if regs[lhs] != regs[rhs]:
                 return None
@@ -223,38 +258,42 @@ def _search(order: int, mode: Mode, node=None, stop=None):
     prefix = _prefix(n)
     inner = [i * n + j for i in range(1, n) for j in range(1, n)]
     depth, table, pending, mdn = _root(n, mode) if node is None else node
-    t = [list(row) for row in table]
+    t = list(table)
     out = [] if stop is not None else set()
     nodes = prunes = leaves = 0
 
     def walk(k, pending, mdn):
         nonlocal nodes, prunes, leaves
         if k == stop:
-            out.append((k, tuple(map(tuple, t)), pending, mdn))
+            out.append((k, tuple(t), pending, mdn))
             return
         if k == n * n:
             leaves += 1
-            out.add(canonical_form(make_algebra(t, 0)))
+            rows = [t[i:i + n] for i in range(0, n * n, n)]
+            out.add(canonical_form(make_algebra(rows, 0)))
             return
         if k < len(prefix):
             c = prefix[k]
         else:
-            # fail first: the free cell with the most waiting instances; max
-            # keeps the first, lowest cell among equals
-            free = (c for c in inner if t[c // n][c % n] is None)
-            c = max(free, key=lambda c: len(pending[c]))
-        i, j = divmod(c, n)
+            # fail first: the free cell with the most waiting instances; only
+            # a strictly longer list replaces, so the lowest cell among equals
+            # is kept
+            most = -1
+            for cell in inner:
+                if t[cell] is None and len(pending[cell]) > most:
+                    c, most = cell, len(pending[cell])
         # least-number heuristic: the elements above max(mdn, i, j) are
         # interchangeable so far, so only the first of them is tried
-        for v in range(min(n - 1, max(mdn, i, j) + 1) + 1):
+        bound = max(mdn, *divmod(c, n))
+        for v in range(min(n - 1, bound + 1) + 1):
             nodes += 1
-            t[i][j] = v
+            t[c] = v
             kept = _propagate(pending, c, t, n)
             if kept is None:
                 prunes += 1
             else:
-                walk(k + 1, kept, max(mdn, i, j, v))
-        t[i][j] = None
+                walk(k + 1, kept, max(bound, v))
+        t[c] = None
 
     walk(depth, pending, mdn)
     return out, SearchStats(nodes, prunes, leaves, 0)
@@ -327,11 +366,6 @@ def _census(order: int, mode: Mode, jobs: int) -> tuple:
         if check_axioms(algebra_from_canonical(blob), mode).passed
     )
     return passed, stats._replace(leaf_rejects=len(blobs) - len(passed))
-
-
-def _enumerate(order: int, mode: Mode, jobs: int) -> tuple:
-    """The sorted canonical blobs of a fresh, uncached census."""
-    return _census(order, mode, jobs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .terms import (
     Word,
     Zero,
     content,
+    numbered_lines,
     parse_identity,
     term_letters,
 )
@@ -499,30 +500,39 @@ def builtin(name: str) -> FiniteAlgebra:
 
 def parse_algebra(text: str) -> FiniteAlgebra:
     """Read the table format: ``size: n``, ``omega: k``, then n rows of n
-    integers.  ``#`` starts a comment, blank lines are skipped."""
-    lines = []
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append(body)
-    if len(lines) < 2:
-        raise ValueError("expected 'size:' and 'omega:' header lines")
-    size_line, omega_line = lines[0], lines[1]
-    if not size_line.startswith("size:"):
-        raise ValueError(f"expected 'size: n', got {size_line!r}")
-    if not omega_line.startswith("omega:"):
-        raise ValueError(f"expected 'omega: k', got {omega_line!r}")
-    n = int(size_line.split(":", 1)[1])
-    k = int(omega_line.split(":", 1)[1])
-    rows = lines[2:]
-    if len(rows) != n:
-        raise ValueError(f"expected {n} table rows, got {len(rows)}")
-    table = []
-    for row in rows:
-        entries = [int(tok) for tok in row.split()]
-        if len(entries) != n:
-            raise ValueError(f"row {row!r} does not have {n} entries")
-        table.append(entries)
+    integers.  ``#`` starts a comment, blank lines are skipped.  A
+    ValueError names the 1-based line of the text it is about."""
+    lines, end = numbered_lines(text)
+    number = end
+    try:
+        if len(lines) < 2:
+            raise ValueError("expected 'size:' and 'omega:' header lines")
+        number, size_line = lines[0]
+        if not size_line.startswith("size:"):
+            raise ValueError(f"expected 'size: n', got {size_line!r}")
+        n = int(size_line.split(":", 1)[1])
+        if n < 1:
+            raise ValueError("algebras have at least one element")
+        number, omega_line = lines[1]
+        if not omega_line.startswith("omega:"):
+            raise ValueError(f"expected 'omega: k', got {omega_line!r}")
+        k = int(omega_line.split(":", 1)[1])
+        if not 0 <= k < n:
+            raise ValueError(f"omega {k} is not an element 0..{n - 1}")
+        rows = lines[2:]
+        if len(rows) != n:
+            number = rows[n][0] if len(rows) > n else end
+            raise ValueError(f"expected {n} table rows, got {len(rows)}")
+        table = []
+        for number, row in rows:
+            entries = [int(tok) for tok in row.split()]
+            if len(entries) != n:
+                raise ValueError(f"row {row!r} does not have {n} entries")
+            if not all(0 <= v < n for v in entries):
+                raise ValueError(f"row {row!r} has an entry outside 0..{n - 1}")
+            table.append(entries)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (line {number})") from None
     return make_algebra(table, k)
 
 

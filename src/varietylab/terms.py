@@ -44,6 +44,20 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+def numbered_lines(text: str) -> tuple:
+    """The lines of a line-oriented source that hold more than a comment
+    (``#`` starts one), stripped, as (1-based line number, body) pairs; and
+    the number of the text's last line, which a text that ends too soon is
+    reported at.  Blank and comment lines keep their numbers."""
+    raw_lines = text.splitlines()
+    lines = []
+    for number, raw in enumerate(raw_lines, 1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            lines.append((number, body))
+    return lines, max(len(raw_lines), 1)
+
+
 # ---------------------------------------------------------------------------
 # Flat words
 

@@ -262,12 +262,11 @@ def check_10_derivation_replay() -> CheckResult:
 def check_11_subdirect_decomposition(jobs: int = 1) -> CheckResult:
     census = enumerate_algebras(4, Mode.IS, jobs)
     problems = []
-    # with more workers, two fresh walks: enumerate_algebras caches by order
-    # and mode, so its census may come from an earlier serial call
-    if jobs > 1:
-        parallel = enumeration._enumerate(4, Mode.IS, jobs)
-        if parallel != enumeration._enumerate(4, Mode.IS, 1):
-            problems.append("worker count changes the order-4 census")
+    # with more workers, two fresh walks (blobs and SearchStats):
+    # enumerate_algebras caches by order and mode, so its census may come
+    # from an earlier serial call
+    if jobs > 1 and enumeration._census(4, Mode.IS, jobs) != enumeration._census(4, Mode.IS, 1):
+        problems.append("worker count changes the order-4 census")
     # the census may be cached: its own walk's time, not this call's
     if census.elapsed_s >= 600.0:
         problems.append(f"order-4 enumeration too slow ({census.elapsed_s:.0f}s)")
@@ -298,9 +297,26 @@ def check_12_tree_mode_models() -> CheckResult:
         problems.append("2s missing at order 2")
     if canonical_form(builtin("2b")) not in forms:
         problems.append("2b missing at order 2")
+    total, failures = tree_mode_theorems((1, 2, 3))
+    problems += failures
+    elapsed = time.perf_counter() - t0
+    if elapsed >= 60.0:
+        problems.append(f"too slow ({elapsed:.0f}s)")
+    return CheckResult(
+        "tree-mode-models",
+        not problems,
+        "; ".join(problems) or f"algebras={total} identities={len(IZ_THEOREMS)}",
+    )
+
+
+def tree_mode_theorems(orders) -> tuple:
+    """Check IZ_THEOREMS, and that 0' = 0 holds iff the subalgebra generated
+    by 0 is not 2b, on every tree-mode algebra of the given orders.  Return
+    the number of algebras and the list of what fails."""
     idents = [parse_identity(text, Mode.IZ) for text in IZ_THEOREMS]
     total = 0
-    for order in (1, 2, 3):
+    problems = []
+    for order in orders:
         for a in enumerate_algebras(order, Mode.IZ).algebras:
             total += 1
             for ident in idents:
@@ -311,14 +327,7 @@ def check_12_tree_mode_models() -> CheckResult:
             has_2b = models.is_isomorphic(sub, builtin("2b"))
             if fixed == has_2b:
                 problems.append(f"fixpoint/subalgebra biconditional fails at order {order}")
-    elapsed = time.perf_counter() - t0
-    if elapsed >= 60.0:
-        problems.append(f"too slow ({elapsed:.0f}s)")
-    return CheckResult(
-        "tree-mode-models",
-        not problems,
-        "; ".join(problems) or f"algebras={total} identities={len(IZ_THEOREMS)}",
-    )
+    return total, problems
 
 
 def check_13_zero_distributivity() -> CheckResult:
@@ -452,11 +461,11 @@ def invariant_batched_oracle_agreement(seed: int, samples: int = 400) -> CheckRe
 
 
 def invariant_parallel_determinism() -> CheckResult:
-    seq = enumeration._enumerate(3, Mode.IS, 1)
-    par = enumeration._enumerate(3, Mode.IS, 2)
-    seq_iz = enumeration._enumerate(3, Mode.IZ, 1)
-    par_iz = enumeration._enumerate(3, Mode.IZ, 2)
-    ok = seq == par and seq_iz == par_iz
+    # blobs and SearchStats alike: both walks visit the same tree
+    ok = all(
+        enumeration._census(3, mode, 1) == enumeration._census(3, mode, 2)
+        for mode in (Mode.IS, Mode.IZ)
+    )
     return CheckResult("parallel-determinism", ok, "order-3 censuses agree")
 
 

@@ -95,6 +95,17 @@ def test_criterion_12_tree_mode_models():
     report(verify.check_12_tree_mode_models())
 
 
+def test_criterion_12_theorems_hold_at_order_four():
+    # one order beyond verify-paper's: all 249 tree-mode algebras of order 4
+    assert verify.tree_mode_theorems((4,)) == (249, [])
+
+
+def test_criterion_12_reports_a_false_theorem(monkeypatch):
+    monkeypatch.setattr(verify, "IZ_THEOREMS", verify.IZ_THEOREMS + ("x = 0",))
+    total, problems = verify.tree_mode_theorems((2,))
+    assert total == 3 and problems and all(p == "x = 0 fails at order 2" for p in problems)
+
+
 def test_criterion_13_zero_distributivity():
     report(verify.check_13_zero_distributivity())
 

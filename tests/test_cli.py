@@ -1,8 +1,10 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from varietylab import cli
+from varietylab.derivations import render_script, shipped_scripts
 from varietylab.models import builtin, render_algebra
 
 
@@ -126,8 +128,6 @@ def test_jobs_below_one_is_a_usage_error(capsys, argv):
 
 
 def test_replay_pass_and_fail(capsys, tmp_path):
-    from varietylab.derivations import render_script, shipped_scripts
-
     script = shipped_scripts()[2]
     good = tmp_path / "good.script"
     good.write_text(render_script(script), encoding="utf-8")
@@ -179,3 +179,103 @@ def test_verify_paper_stdout_is_pinned(capsys, monkeypatch, jobs):
     code, out, _ = run(capsys, ["--jobs", jobs, "verify-paper"])
     assert code == 0
     assert out == expected.read_text(encoding="utf-8")
+
+
+def test_parse_errors_name_their_line(capsys, tmp_path):
+    algebra = tmp_path / "bad.alg"
+    algebra.write_text("size: 2\nomega: 0\n\n0 1\n1 1 1\n", encoding="utf-8")
+    code, out, err = run(capsys, ["oracle", str(algebra), "x = x"])
+    assert code == 2 and out == ""
+    assert err == "error: row '1 1 1' does not have 2 entries (line 5)\n"
+    script = tmp_path / "bad.script"
+    script.write_text("mode: is\nname: x\ngoal: x = x\n# c\nstart: x\nstep ? \n",
+                      encoding="utf-8")
+    code, out, err = run(capsys, ["replay", str(script)])
+    assert code == 2 and out == ""
+    assert err == "error: bad step line 'step ?' (line 6)\n"
+    # premises that run to the end of the file: an error, not an IndexError
+    script.write_text("mode: is\nname: x\npremises:\n  a: x = x\n  b: y = y\n",
+                      encoding="utf-8")
+    code, out, err = run(capsys, ["replay", str(script)])
+    assert code == 2 and out == ""
+    assert err == "error: expected 'goal:', got the end of the script (line 5)\n"
+
+
+def _plain_word(text):
+    """Neither a number nor a path: argparse reads --order and --jobs with
+    int(), which also takes "+5", " 7 " and "1_0", and a path could send
+    --dot outside the test's directory."""
+    try:
+        int(text)
+    except ValueError:
+        return "/" not in text and "\\" not in text
+    return False
+
+
+_FILE = object()  # stands for a path to a file of drawn text
+_WORDS = st.one_of(
+    st.sampled_from([
+        "--jobs", "--mode", "--order", "--dot", "-h", "1", "2", "3", "0", "-1", "x",
+        "is", "iz", "IS", "B", "builtin:A", "builtin:nope", "x = x", "0'' = 0", "(x>y", _FILE,
+    ]),
+    st.text(max_size=12).filter(_plain_word),
+)
+
+
+def _slot(*choices):
+    """A word of the subcommand's grammar, or now and then any word."""
+    return st.integers(0, 5).flatmap(lambda k: st.sampled_from(choices) if k else _WORDS)
+
+
+def _command(name, *slots):
+    return st.tuples(st.just(name), *slots)
+
+
+_ARGV = st.tuples(
+    st.sampled_from([[], ["--jobs", "1"], ["--jobs", "2"], ["--jobs"]]),
+    st.one_of(
+        _command("check", _slot("IS", "B", "SL+ZM", "QQ"), _slot("xyz = zOxyzOO", "x = xx")),
+        _command("normalize", _slot("xyx", "xOy", "x y", "")),
+        _command("oracle", _slot("--mode"), _slot("is", "iz"),
+                 _slot("builtin:M", "builtin:2s", _FILE), _slot("builtin:B", _FILE),
+                 _slot("xO = xx", "x = x", "0' = 0", "x > y = y")),
+        _command("variety-of", _slot("builtin:BxK_mod_I", "builtin:2b", _FILE)),
+        _command("lattice", _slot("--dot"), _slot("hasse.dot", ".")),
+        _command("enumerate", _slot("--order"), _slot("1", "2", "3"), _slot("--mode"),
+                 _slot("is", "iz"), _slot("--jobs"), _slot("1", "2")),
+        _command("replay", _slot(_FILE)),
+    ).map(list),
+    st.integers(0, 3).flatmap(lambda k: st.lists(_WORDS, min_size=1, max_size=2)
+                              if k == 0 else st.just([])),
+).map(lambda parts: [word for part in parts for word in part])
+_FILE_TEXTS = st.one_of(
+    st.text(max_size=80),
+    st.sampled_from(
+        [render_algebra(builtin(name)) for name in ("A", "B", "2b")]
+        + [render_script(s) for s in shipped_scripts()[:3]]
+    ).flatmap(lambda text: st.lists(st.integers(0, 12), max_size=3).map(
+        # drop a few lines of a well-formed file
+        lambda cut: "\n".join(
+            line for i, line in enumerate(text.splitlines()) if i not in cut))),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(words=_ARGV, texts=st.lists(_FILE_TEXTS, min_size=1, max_size=2))
+def test_cli_fuzz_never_tracebacks(capsys, monkeypatch, tmp_path, pool_sizes, words, texts):
+    # no verify-paper, enumerate orders up to 3, --jobs 1 or 2, and worker
+    # processes replaced by the recording pool: every case is cheap; relative
+    # paths (a --dot target) land in the test's directory
+    monkeypatch.chdir(tmp_path)
+    argv = []
+    for word in words:
+        if word is _FILE:
+            path = tmp_path / f"input{len(argv)}"
+            path.write_text(texts[len(argv) % len(texts)], encoding="utf-8")
+            word = str(path)
+        argv.append(word)
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv

@@ -197,6 +197,17 @@ def test_parse_script_rejects():
         )
 
 
+def test_parse_script_names_the_line():
+    head = "mode: is\nname: x\n# a comment\n\ngoal: x = x\nstart: x\n"
+    with pytest.raises(ValueError, match=r"bad step line 'step huh' \(line 7\)$"):
+        parse_script(head + "step huh\n")
+    with pytest.raises(ValueError, match=r"empty word \(offset 3\) \(line 5\)$"):
+        parse_script(head.replace("goal: x = x", "goal: x ="))
+    # premises that run to the end of the text: no goal line follows
+    with pytest.raises(ValueError, match=r"expected 'goal:', got the end .* \(line 6\)$"):
+        parse_script("mode: is\nname: x\npremises:\n  a: x = x\n  b: y = y\n\n")
+
+
 def test_parse_script_rejects_a_position_of_the_wrong_kind():
     for head, step in WRONG_KIND_STEPS.items():
         with pytest.raises(ValueError, match=re.escape(repr(step))):

@@ -1,16 +1,16 @@
 import hashlib
 import itertools
-import multiprocessing
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varietylab import enumeration, models
 from varietylab.enumeration import (
+    MAX_ORDER,
     EnumerationReport,
     SearchStats,
     _census,
-    _enumerate,
     canonical_form,
     classify,
     enumerate_algebras,
@@ -21,40 +21,50 @@ from varietylab.terms import Mode
 from varietylab.varieties import Variety
 
 
+def reference_canonical_form(a):
+    """The brute-force canonical form: every relabeling that sends the
+    distinguished element to 0, applied cell by cell; the least bytes win."""
+    n = a.order
+    d = a.distinguished
+    rest = [i for i in range(n) if i != d]
+    best = None
+    for image in itertools.permutations(range(1, n)):
+        pi = [0] * n
+        pi[d] = 0
+        inv = [d] * n
+        for new, old in zip(image, rest):
+            pi[old] = new
+            inv[new] = old
+        flat = bytes(
+            pi[a.table[inv[p]][inv[q]]] for p in range(n) for q in range(n)
+        )
+        if best is None or flat < best:
+            best = flat
+    if best is None:  # order 1
+        best = bytes([a.table[0][0]])
+    return bytes([n]) + best
+
+
 def brute_force_census(order, mode):
     """Independent oracle: every table, every distinguished element, no
-    pruning, no backtracking; canonical forms of the axiom survivors."""
+    pruning, no backtracking; reference forms of the axiom survivors."""
     blobs = set()
     for flat in itertools.product(range(order), repeat=order * order):
         table = [flat[i * order:(i + 1) * order] for i in range(order)]
         for d in range(order):
             a = make_algebra(table, d)
             if check_axioms(a, mode).passed:
-                blobs.add(canonical_form(a))
+                blobs.add(reference_canonical_form(a))
     return tuple(sorted(blobs))
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replaces multiprocessing.Pool by a fake that maps in this process;
-    returns the list of the process counts asked of it."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    return sizes
+@st.composite
+def algebras(draw, min_order, max_order):
+    """A random table of an order in the range, any distinguished element."""
+    n = draw(st.integers(min_order, max_order))
+    cells = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    rows = [cells[i * n:(i + 1) * n] for i in range(n)]
+    return make_algebra(rows, draw(st.integers(0, n - 1)))
 
 
 def test_bounds_enforced():
@@ -114,6 +124,27 @@ def test_canonical_form_examples():
     assert is_isomorphic(z, z_swapped)
 
 
+@settings(max_examples=300, deadline=None)
+@given(algebras(1, 5))
+def test_canonical_form_matches_reference(a):
+    assert canonical_form(a) == reference_canonical_form(a)
+
+
+@settings(max_examples=10, deadline=None)
+@given(algebras(6, 6))
+def test_canonical_form_matches_reference_at_order_six(a):
+    # above MAX_ORDER the relabelings are built for the call, not kept
+    assert canonical_form(a) == reference_canonical_form(a)
+
+
+def test_relabeling_tables_kept_are_bounded(monkeypatch):
+    monkeypatch.setattr(enumeration, "_RELABELINGS", {})
+    for n in range(1, MAX_ORDER + 3):
+        canonical_form(make_algebra([[0] * n] * n, n - 1))
+    kept = enumeration._RELABELINGS
+    assert len(kept) <= MAX_ORDER and max(kept) == MAX_ORDER
+
+
 def test_parallel_matches_sequential():
     # blobs and search counts alike: the chunked walk of two workers and the
     # uncut walk of one visit the same tree, also where each chunk chooses
@@ -128,7 +159,7 @@ def test_parallel_matches_sequential():
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_census_matches_naive_oracle(order, mode):
     # validates both the pruning and pinning the constant at index 0
-    assert brute_force_census(order, mode) == _enumerate(order, mode, 1)
+    assert brute_force_census(order, mode) == _census(order, mode, 1)[0]
 
 
 # sha256 of the joined canonical blobs, taken from the full-scan engine that
@@ -141,7 +172,7 @@ ORDER_FOUR_DIGESTS = {
 
 @pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
 def test_order_four_census_matches_pinned_digest(mode):
-    blobs = _enumerate(4, mode, 1)
+    blobs, _ = _census(4, mode, 1)
     assert (len(blobs), hashlib.sha256(b"".join(blobs)).hexdigest()) == ORDER_FOUR_DIGESTS[mode]
 
 
@@ -163,7 +194,7 @@ def test_order_four_search_counts(mode, stats):
 
 def test_order_five_associative_census_matches_pinned_digest():
     # digest taken from the walk that filled the cells in row-major order
-    blobs = _enumerate(5, Mode.IS, 1)
+    blobs, _ = _census(5, Mode.IS, 1)
     assert (len(blobs), hashlib.sha256(b"".join(blobs)).hexdigest()) == (
         206,
         "d7e067e0410f415a1e9aa3a9e32ec56fe20065802810888bbae74ec13393f7da",

@@ -224,6 +224,20 @@ def test_parse_algebra_rejects():
         parse_algebra("size: 2\nomega: 3\n0 0\n0 0\n")
 
 
+def test_parse_algebra_names_the_line():
+    # blank and comment lines count: the bad row is line 6 of the text
+    text = "# two elements\nsize: 2\nomega: 0\n\n0 1\n1 x\n"
+    with pytest.raises(ValueError, match=r"invalid literal .* \(line 6\)$"):
+        parse_algebra(text)
+    with pytest.raises(ValueError, match=r"row '1 2' has an entry outside 0\.\.1 \(line 4\)$"):
+        parse_algebra("size: 2\nomega: 0\n0 1\n1 2\n")
+    with pytest.raises(ValueError, match=r"omega 2 .* \(line 2\)$"):
+        parse_algebra("size: 2\nomega: 2\n0 1\n1 1\n")
+    # a text that ends too soon is reported at its last line
+    with pytest.raises(ValueError, match=r"expected 2 table rows, got 1 \(line 4\)$"):
+        parse_algebra("size: 2\nomega: 0\n0 1\n# end\n")
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         FiniteAlgebra(((0, 2), (0, 0)), 0)
