@@ -57,7 +57,12 @@ def cmd_oracle(args) -> int:
     algebras = [_load_algebra_arg(spec) for spec in algebra_specs]
     for spec, a in zip(algebra_specs, algebras):
         res = satisfies(a, ident)
-        verdict = "HOLDS" if res.holds else f"FAILS witness {_witness_text(a, res.witness)}"
+        if res.holds:
+            verdict = "HOLDS"
+        elif res.witness:
+            verdict = f"FAILS witness {_witness_text(a, res.witness)}"
+        else:  # an identity without letters fails at the empty assignment
+            verdict = "FAILS"
         if len(algebras) > 1:
             print(f"{spec}: {verdict}")
         else:

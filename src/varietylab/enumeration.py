@@ -380,23 +380,21 @@ def classify(report: EnumerationReport) -> dict:
         raise ValueError("classification applies to associative mode only")
     words = varieties.exhaustive_identity_words()
     counts: dict = {}
+    keys: dict = {}  # variety -> word -> key, built when the variety first occurs
     for a in report.algebras:
         v = varieties.variety_of(a)
         counts[v] = counts.get(v, 0) + 1
-        separating = _coincidence_gap(a, v, words)
-        if separating is not None:
+        if v not in keys:
+            keys[v] = {w: varieties.key(v, w) for w in words}
+        class_of = word_value_classes(a, words)
+        _, _, pair = varieties.compare_partitions(
+            words, class_of.__getitem__, keys[v].__getitem__
+        )
+        if pair is not None:
             raise AssertionError(
-                f"algebra satisfies a different identity set than {v}: {separating}"
+                f"algebra satisfies a different identity set than {v}: {pair[0]} = {pair[1]}"
             )
     return counts
-
-
-def _coincidence_gap(a: FiniteAlgebra, v: Variety, words):
-    class_of = word_value_classes(a, words)
-    _, _, pair = varieties.compare_partitions(
-        words, class_of.__getitem__, lambda w: varieties.key(v, w)
-    )
-    return None if pair is None else f"{pair[0]} = {pair[1]}"
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,20 @@ tree mode terms evaluate recursively with ``table[i][j]`` read as ``i -> j``.
 ``evaluate`` is that reference evaluator.
 
 ``satisfies`` and ``check_axioms`` do not call it: they compile an identity
-once into a flat register program and run the program per assignment.
+once into a register program and run the program over all assignments.
 Register 0 holds the constant and registers 1..k the identity's sorted
-letters; each step (a, b) appends ``table[regs[a]][regs[b]]``.  A word
-compiles as a left fold and a tree term by a post-order walk, and equal
-subterms share one step.  ``check_axioms`` compiles the axiom texts of
-``terms.AXIOM_TEXTS`` once per mode.
+letters; each step (out, a, b) sets register out to
+``table[regs[a]][regs[b]]``.  A word compiles as a left fold and a tree term
+by a post-order walk, and equal subterms share one step.  A step's level is
+the last letter it reads, 0 for none, and the run nests one loop per letter:
+the loop of letter j runs only the steps of level j, so a step is redone
+only when a letter it reads changes.  ``check_axioms`` compiles the axiom
+texts of ``terms.AXIOM_TEXTS`` once per mode.
+
+``word_value_classes`` is a second, batched route that shares no evaluation
+code with the register programs: it folds each word into a vector of its
+values over all assignments, one vector product per word on top of the
+vector of its prefix.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import getitem
 
 from .terms import (
     AXIOM_TEXTS,
@@ -149,16 +158,22 @@ def identity_letters(ident: Identity) -> tuple:
 
 
 def _compile(ident: Identity, letters: tuple) -> tuple:
-    """The register program (steps, lhs register, rhs register) of ident."""
+    """The register program (levels, lhs register, rhs register) of ident:
+    levels[j] holds, in order, the steps (out, a, b) whose last letter read
+    is letter j, directly or through earlier steps."""
     register = {letter: r for r, letter in enumerate(letters, 1)}
-    steps = []
+    level = list(range(len(letters) + 1))  # of each register
+    levels = [[] for _ in level]
     shared = {}
 
     def step(a, b):
-        if (a, b) not in shared:
-            steps.append((a, b))
-            shared[a, b] = len(letters) + len(steps)
-        return shared[a, b]
+        out = shared.get((a, b))
+        if out is None:
+            out = shared[a, b] = len(level)
+            j = level[a] if level[a] > level[b] else level[b]
+            level.append(j)
+            levels[j].append((out, a, b))
+        return out
 
     def word(w):
         acc = None
@@ -174,51 +189,82 @@ def _compile(ident: Identity, letters: tuple) -> tuple:
 
     side = word if ident.mode is Mode.IS else tree
     lhs, rhs = side(ident.lhs), side(ident.rhs)
-    return tuple(steps), lhs, rhs
+    return tuple(map(tuple, levels)), lhs, rhs
 
 
 def _run(a: FiniteAlgebra, letters: tuple, program: tuple) -> SatResult:
     """Run a register program over all assignments in lexicographic order;
-    the first one whose sides differ is the witness."""
-    steps, lhs, rhs = program
-    table = a.table
-    for values in itertools.product(range(a.order), repeat=len(letters)):
-        regs = [a.distinguished, *values]
-        for x, y in steps:
-            regs.append(table[regs[x]][regs[y]])
-        if regs[lhs] != regs[rhs]:
-            return SatResult(False, dict(zip(letters, values)))
+    the first one whose sides differ is the witness.
+
+    One loop per letter, the first letter outermost: the loop of letter j
+    sets register j to each element in turn and runs the steps of level j,
+    and the sides are compared in the innermost loop."""
+    levels, lhs, rhs = program
+    table, n, k = a.table, a.order, len(letters)
+    regs = [a.distinguished] * (k + 1 + sum(map(len, levels)))
+
+    def differs(j):
+        # whether some values of the letters j..k make the sides differ
+        steps = levels[j]
+        for regs[j] in range(n):
+            for out, x, y in steps:
+                regs[out] = table[regs[x]][regs[y]]
+            if (regs[lhs] != regs[rhs]) if j == k else differs(j + 1):
+                return True
+        return False
+
+    for out, x, y in levels[0]:
+        regs[out] = table[regs[x]][regs[y]]
+    if (regs[lhs] != regs[rhs]) if k == 0 else differs(1):
+        return SatResult(False, dict(zip(letters, regs[1:k + 1])))
     return SatResult(True, None)
+
+
+# The identities that recur are the few dozen of the bases and theorem lists;
+# a larger cache mostly keeps one-off identities alive for the collector.
+@lru_cache(maxsize=64)
+def _program(ident: Identity) -> tuple:
+    letters = identity_letters(ident)
+    return letters, _compile(ident, letters)
 
 
 def satisfies(a: FiniteAlgebra, ident) -> SatResult:
     """Exhaustive check over all assignments; first lexicographic witness kept."""
     if isinstance(ident, str):
         ident = parse_identity(ident)
-    letters = identity_letters(ident)
-    return _run(a, letters, _compile(ident, letters))
+    return _run(a, *_program(ident))
 
 
 def word_value_classes(a: FiniteAlgebra, words, letters=("x", "y", "z")) -> dict:
-    """Map each word to an id of its value vector over all |A|^k assignments.
+    """Map each word to an id of its value vector over all |A|^k assignments;
+    ids count up from 0 in the order the vectors first occur.
 
     Two words get the same id iff the algebra satisfies their equation, so
     this is ``satisfies`` batched over a family of words sharing an alphabet.
-    """
+    A word's vector is the vector of its prefix one symbol shorter times the
+    column of its last symbol, one C-level map per word.  The prefix vectors
+    are kept for the call, so each prefix is multiplied out once, whether or
+    not it is in words and wherever it comes in them."""
     assigns = list(itertools.product(range(a.order), repeat=len(letters)))
     base = {
         letter: tuple(asg[k] for asg in assigns) for k, letter in enumerate(letters)
     }
-    base["O"] = tuple(a.distinguished for _ in assigns)
-    table = a.table
-    vectors: dict = {}
+    base[OMEGA] = (a.distinguished,) * len(assigns)
+    row = a.table.__getitem__
+    vectors = dict(base)  # symbols of a word -> its value vector
+    ids: dict = {}
     class_of: dict = {}
     for w in words:
-        vec = None
-        for ch in w.symbols:
-            col = base[ch]
-            vec = col if vec is None else tuple(table[p][q] for p, q in zip(vec, col))
-        class_of[w] = vectors.setdefault(vec, len(vectors))
+        s = w.symbols
+        if s not in vectors:
+            # the longest prefix already known; a single symbol is in base
+            k = len(s) - 1
+            while k > 1 and s[:k] not in vectors:
+                k -= 1
+            vec = vectors[s[:k]]
+            for k in range(k, len(s)):
+                vec = vectors[s[:k + 1]] = tuple(map(getitem, map(row, vec), base[s[k]]))
+        class_of[w] = ids.setdefault(vectors[s], len(ids))
     return class_of
 
 
@@ -257,12 +303,7 @@ def _associativity_check(a: FiniteAlgebra) -> AxiomCheck:
 @lru_cache(maxsize=None)
 def _axiom_programs(mode: Mode) -> tuple:
     """(text, letters, register program) of each defining identity of mode."""
-    out = []
-    for text in AXIOM_TEXTS[mode]:
-        ident = parse_identity(text, mode)
-        letters = identity_letters(ident)
-        out.append((text, letters, _compile(ident, letters)))
-    return tuple(out)
+    return tuple((text, *_program(parse_identity(text, mode))) for text in AXIOM_TEXTS[mode])
 
 
 def check_axioms(a: FiniteAlgebra, mode: Mode) -> AxiomReport:

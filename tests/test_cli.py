@@ -59,6 +59,14 @@ def test_oracle_iz_mode(capsys):
     assert code == 0 and out.startswith("FAILS")
 
 
+def test_oracle_letter_free_failure_has_no_witness(capsys):
+    argv = ["oracle", "--mode", "iz", "builtin:2b", "0 = 0'"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out == "FAILS\n"
+    code, out, _ = run(capsys, argv[:-1] + ["builtin:2s", "0 = 0'"])
+    assert code == 0 and out == "builtin:2b: FAILS\nbuiltin:2s: HOLDS\n"
+
+
 def test_oracle_missing_algebra(capsys, tmp_path):
     code, _, err = run(capsys, ["oracle", "builtin:nope", "x = x"])
     assert code == 2 and "unknown builtin" in err

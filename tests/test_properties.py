@@ -73,6 +73,29 @@ def test_batched_classes_agree_with_satisfies(name, u, v):
     assert (classes[u] == classes[v]) == satisfies(a, Identity(u, v, Mode.IS)).holds
 
 
+@st.composite
+def word_families(draw):
+    """Words up to length 6, some prefixes of them and some repeats, in any order."""
+    texts = st.text(alphabet="xyzO", min_size=1, max_size=6)
+    drawn = draw(st.lists(texts, min_size=1, max_size=8))
+    prefixes = [w[: draw(st.integers(1, len(w)))] for w in drawn[::2]]
+    family = draw(st.permutations(drawn + prefixes + drawn[1::3]))
+    return tuple(map(Word, family))
+
+
+@settings(max_examples=300)
+@given(tables(1), word_families())
+def test_word_value_classes_match_reference_evaluator(table_dist, family):
+    a = make_algebra(*table_dist)
+    assigns = [dict(zip("xyz", v)) for v in itertools.product(range(a.order), repeat=3)]
+    ids = {}
+    expected = {
+        w: ids.setdefault(tuple(evaluate(a, w, asg) for asg in assigns), len(ids))
+        for w in family
+    }
+    assert word_value_classes(a, family) == expected
+
+
 def reference_satisfies(a, ident):
     """One evaluate call per side and assignment, letters in sorted order."""
     letters = sorted(set(f"{ident.lhs}{ident.rhs}") & set("abcdefghijklmnopqrstuvwxyz"))
@@ -92,8 +115,12 @@ tree_terms = st.recursive(
     max_leaves=8,
 )
 
+long_words = st.text(alphabet="xyzwO", min_size=1, max_size=8).map(Word)
+
 identities = st.one_of(
     st.tuples(words, words).map(lambda uv: Identity(*uv, Mode.IS)),
+    # four letters: steps on every level of the nested loops
+    st.tuples(long_words, long_words).map(lambda uv: Identity(*uv, Mode.IS)),
     # a shared prefix
     st.tuples(words, words).map(lambda uv: Identity(uv[0], uv[0] + uv[1], Mode.IS)),
     st.tuples(tree_terms, tree_terms).map(lambda lr: Identity(*lr, Mode.IZ)),

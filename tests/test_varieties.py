@@ -251,6 +251,29 @@ def test_check_06_counts_a_planted_fault(monkeypatch):
     assert decide(v, identity) != oracle(v, identity)
 
 
+def test_order_monotonicity_catches_a_planted_fault(monkeypatch):
+    assert verify.invariant_monotonicity().passed
+    # K's key forgets the commutative law, which K inherits from M above it
+    monkeypatch.setitem(_COMPONENT_KEYS, Variety.K, _COMPONENT_KEYS[Variety.L])
+    res = verify.invariant_monotonicity()
+    assert not res.passed
+    found = re.search(r"violations=(\d+) first=(\S+) <= (\S+): (\S+) = (\S+)$", res.detail)
+    assert int(found.group(1)) > 0
+    below, above = Variety(found.group(2)), Variety(found.group(3))
+    identity = parse_identity(f"{found.group(4)} = {found.group(5)}")
+    assert generator_leq(below, above)
+    assert decide(above, identity) and not decide(below, identity)
+
+
+def test_classification_coincidence_catches_a_planted_fault(monkeypatch):
+    assert verify.invariant_classification_coincidence().passed
+    # the order-4 algebra of K is commutative, but K's key now says otherwise
+    monkeypatch.setitem(_COMPONENT_KEYS, Variety.K, _COMPONENT_KEYS[Variety.L])
+    res = verify.invariant_classification_coincidence()
+    assert not res.passed
+    assert res.detail.startswith("algebra satisfies a different identity set than K: ")
+
+
 def test_substitution_closure_catches_a_planted_fault(monkeypatch):
     # SL's key counts letters instead of naming them, which substitution breaks
     monkeypatch.setitem(_COMPONENT_KEYS, Variety.SL, lambda w: len(str(w)))
