@@ -43,8 +43,9 @@ node there is one chunk; a single worker walks it uncut.
 relabeling is an `operator.itemgetter` over the flat cells and a 256-byte
 `bytes.translate` map over the values, and the (n-1)! of them are built once
 per order.  A distinguished element d other than 0 is first swapped with 0,
-so one table per order serves every d.  Only the tables of orders up to
-MAX_ORDER are kept, so what is held cannot grow with the inputs.
+so one table per order serves every d.  Only the tables of at most
+MAX_KEPT_RELABELINGS entries are kept (orders up to 6), so what is held
+cannot grow with the inputs.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ from .terms import Mode
 from .varieties import Variety
 
 MAX_ORDER = 5
+# the largest relabeling table kept between calls: the 5! of order 6
+MAX_KEPT_RELABELINGS = 120
 
 
 @dataclass
@@ -109,14 +112,14 @@ def canonical_form(a: FiniteAlgebra) -> bytes:
     return bytes([n]) + best
 
 
-_RELABELINGS: dict = {}  # order -> its relabelings, for orders up to MAX_ORDER
+_RELABELINGS: dict = {}  # order -> its relabelings, if at most MAX_KEPT_RELABELINGS
 
 
 def _relabelings(n: int) -> list:
     """The relabelings of order n > 1 that fix 0, each as a pair (get, pi):
     `get` takes a flat table's cells in the relabeled row-major order, and
     `pi` is the 256-byte `bytes.translate` map from old values to new.  Kept
-    for orders up to MAX_ORDER, built afresh above it."""
+    when it has at most MAX_KEPT_RELABELINGS entries, built afresh above."""
     table = _RELABELINGS.get(n)
     if table is None:
         table = []
@@ -127,7 +130,7 @@ def _relabelings(n: int) -> list:
                 inv[new] = old
             cells = [inv[p] * n + inv[q] for p in range(n) for q in range(n)]
             table.append((operator.itemgetter(*cells), bytes(pi).ljust(256, b"\0")))
-        if n <= MAX_ORDER:
+        if len(table) <= MAX_KEPT_RELABELINGS:
             _RELABELINGS[n] = table
     return table
 

@@ -19,6 +19,9 @@ from functools import lru_cache
 
 OMEGA = "O"
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
+# str.translate table that deletes every valid word symbol, so what is left
+# of a word's text is its invalid symbols, in order
+_DROP_WORD_SYMBOLS = dict.fromkeys(map(ord, _LETTERS | {OMEGA}))
 
 
 class Mode(str, Enum):
@@ -71,9 +74,9 @@ class Word:
     def __post_init__(self):
         if not self.symbols:
             raise ValueError("words are nonempty")
-        for ch in self.symbols:
-            if ch != OMEGA and ch not in _LETTERS:
-                raise ValueError(f"invalid word symbol {ch!r}")
+        invalid = self.symbols.translate(_DROP_WORD_SYMBOLS)
+        if invalid:
+            raise ValueError(f"invalid word symbol {invalid[0]!r}")
 
     def __str__(self) -> str:
         return self.symbols
@@ -142,14 +145,8 @@ def contains_square(w: Word) -> bool:
 
 def substitute(w: Word, mapping: dict) -> Word:
     """Replace each letter by its image word; O is fixed, absent letters too."""
-    parts = []
-    for ch in w.symbols:
-        if ch == OMEGA:
-            parts.append(OMEGA)
-        else:
-            img = mapping.get(ch)
-            parts.append(img.symbols if img is not None else ch)
-    return Word("".join(parts))
+    table = {ord(ch): img.symbols for ch, img in mapping.items() if ch in _LETTERS}
+    return Word(w.symbols.translate(table))
 
 
 def normalize_is(w: Word) -> Word:

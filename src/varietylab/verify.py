@@ -395,36 +395,53 @@ def invariant_monotonicity() -> CheckResult:
 
 
 def invariant_substitution_closure(seed: int, samples: int = 1000) -> CheckResult:
+    """Sample whether each ker key_V is closed under substitution.
+
+    For each variety V, `samples` times: an ordered pair (u, w) of words of
+    length <= 3 over x, y, z, O with key(V, u) == key(V, w), each such pair
+    equally likely; and a substitution sending each of x, y, z to an image
+    of length uniform on 1..3 whose symbols are uniform on x, y, z, O, so an
+    image word of length L has probability (1/3) * 4**-L.  The image
+    identity must hold in V by `decide`.  Images of u and w reach length 9.
+
+    Each variety's draw is two `rng.choices` calls: its pairs, then its
+    3 * samples letter images."""
     rng = random.Random(seed)
     words = exhaustive_identity_words(max_length=3)
-    alphabet = "xyzO"
+    # the images are these same 84 words, drawn by their probability
+    cum_weights = list(itertools.accumulate(_image_weights(words)))
     failures = 0
     first = None
     for v in Variety:
-        # a holding pair, drawn directly: a block of key(v, .) with weight
-        # |block|^2 (its share of the holding ordered pairs), then u and w in it
-        blocks = {}
-        for word in words:
-            blocks.setdefault(varieties.key(v, word), []).append(word)
-        blocks = list(blocks.values())
-        for block in rng.choices(blocks, [len(b) ** 2 for b in blocks], k=samples):
-            u, w = rng.choice(block), rng.choice(block)
-            ident = Identity(u, w, Mode.IS)
-            sub = {
-                letter: Word(
-                    "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
-                )
-                for letter in "xyz"
-            }
+        pairs = rng.choices(_holding_pairs(v, words), k=samples)
+        images = iter(rng.choices(words, cum_weights=cum_weights, k=3 * samples))
+        # one iterator zipped thrice: the images of x, y, z, three at a time
+        for (u, w), triple in zip(pairs, zip(images, images, images)):
+            sub = dict(zip("xyz", triple))
             image = Identity(substitute(u, sub), substitute(w, sub), Mode.IS)
             if not decide(v, image):
                 failures += 1
                 if first is None:
-                    first = f"{v}: {ident} -> {image}"
+                    first = f"{v}: {Identity(u, w, Mode.IS)} -> {image}"
     detail = f"samples={samples}/variety failures={failures}"
     if first:
         detail += f" first={first}"
     return CheckResult("substitution-closure", failures == 0, detail)
+
+
+def _holding_pairs(v: Variety, words) -> list:
+    """The ordered pairs (u, w) of the words with key(v, u) == key(v, w)."""
+    blocks = {}
+    for word in words:
+        blocks.setdefault(varieties.key(v, word), []).append(word)
+    return [(u, w) for block in blocks.values() for u in block for w in block]
+
+
+def _image_weights(images) -> list:
+    """Weights 4**(3 - len) over image words of length 1..3: proportional to
+    (1/3) * 4**-len, the chance of a length uniform on 1..3 and then of each
+    of its symbols uniform on four."""
+    return [4 ** (3 - len(w)) for w in images]
 
 
 def invariant_product_law(seed: int, samples: int = 300) -> CheckResult:

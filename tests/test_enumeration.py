@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from varietylab import enumeration, models
 from varietylab.enumeration import (
+    MAX_KEPT_RELABELINGS,
     MAX_ORDER,
     EnumerationReport,
     SearchStats,
@@ -133,16 +134,26 @@ def test_canonical_form_matches_reference(a):
 @settings(max_examples=10, deadline=None)
 @given(algebras(6, 6))
 def test_canonical_form_matches_reference_at_order_six(a):
-    # above MAX_ORDER the relabelings are built for the call, not kept
+    # above MAX_ORDER, on the order-6 relabelings kept beside the census ones
     assert canonical_form(a) == reference_canonical_form(a)
 
 
 def test_relabeling_tables_kept_are_bounded(monkeypatch):
     monkeypatch.setattr(enumeration, "_RELABELINGS", {})
-    for n in range(1, MAX_ORDER + 3):
+    for n in range(1, 8):
         canonical_form(make_algebra([[0] * n] * n, n - 1))
     kept = enumeration._RELABELINGS
-    assert len(kept) <= MAX_ORDER and max(kept) == MAX_ORDER
+    # order 7's 720 relabelings are built for the call, not kept
+    assert sorted(kept) == [2, 3, 4, 5, 6]
+    assert max(map(len, kept.values())) == MAX_KEPT_RELABELINGS
+
+
+def test_order_six_calls_share_one_relabeling_table(monkeypatch):
+    monkeypatch.setattr(enumeration, "_RELABELINGS", {})
+    canonical_form(make_algebra([[0] * 6] * 6, 0))
+    table = enumeration._RELABELINGS[6]
+    canonical_form(make_algebra([[p * q % 6 for q in range(6)] for p in range(6)], 0))
+    assert enumeration._relabelings(6) is table
 
 
 def test_parallel_matches_sequential():

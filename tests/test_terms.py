@@ -62,6 +62,12 @@ def test_word_constructor_rejects_bad_symbols():
         Word("xA")
 
 
+@pytest.mark.parametrize("text, bad", [("xÄy", "Ä"), ("x y", " "), ("xA\tB", "A")])
+def test_word_constructor_names_the_first_bad_symbol(text, bad):
+    with pytest.raises(ValueError, match=f"^invalid word symbol {bad!r}$"):
+        Word(text)
+
+
 def test_content():
     assert content(Word("xyx")) == {"x", "y"}
     assert content(Word("OO")) == frozenset()
@@ -108,6 +114,23 @@ def test_substitute():
     assert substitute(Word("xyO"), s) == Word("abOO")
     assert substitute(Word("xx"), {"x": Word("O")}) == Word("OO")
     assert substitute(Word("xyz"), {}) == Word("xyz")
+
+
+def reference_substitute(w, mapping):
+    """Symbol by symbol: O is fixed, so is a letter the mapping leaves out."""
+    out = ""
+    for ch in w.symbols:
+        out += ch if ch == "O" or ch not in mapping else mapping[ch].symbols
+    return Word(out)
+
+
+@given(
+    st.text(alphabet="xyzwO", min_size=1, max_size=10).map(Word),
+    st.dictionaries(st.sampled_from("xyzO"), words, max_size=4),
+)
+def test_substitute_matches_per_symbol_reference(w, mapping):
+    # mappings may name O, which stays fixed, and leave out letters, w among them
+    assert substitute(w, mapping) == reference_substitute(w, mapping)
 
 
 @given(words, words, st.dictionaries(st.sampled_from("xyz"), words, max_size=3))

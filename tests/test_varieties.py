@@ -1,12 +1,13 @@
 import itertools
-import random
 import re
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from varietylab import models, verify
-from varietylab.terms import Mode, Word, normalize_is, parse_identity, substitute
+from varietylab.terms import Identity, Mode, los, normalize_is, parse_identity
 from varietylab.varieties import (
     _COMPONENT_KEYS,
     Variety,
@@ -102,24 +103,29 @@ def test_monotonicity_small():
 
 
 def test_substitution_closure_randomized():
-    rng = random.Random(11)
-    alphabet = "xyzO"
+    res = verify.invariant_substitution_closure(seed=11, samples=120)
+    assert res.passed, res.detail
+    assert res.detail == "samples=120/variety failures=0"
+
+
+def test_substitution_images_have_their_stated_probabilities():
+    # each of x, y, z: a length uniform on 1..3, then each symbol uniform on xyzO
+    images = exhaustive_identity_words(max_length=3)
+    weights = verify._image_weights(images)
+    probabilities = [Fraction(weight, sum(weights)) for weight in weights]
+    assert len(images) == 84
+    for image, p in zip(images, probabilities):
+        assert p == Fraction(1, 3) * Fraction(1, 4) ** len(image)
+    assert sum(probabilities) == 1
+
+
+def test_holding_pairs_are_the_ordered_pairs_each_variety_identifies():
     words = exhaustive_identity_words(max_length=3)
     for v in Variety:
-        checked = 0
-        while checked < 120:
-            u = rng.choice(words)
-            w = rng.choice(words)
-            identity = parse_identity(f"{u} = {w}")
-            if not decide(v, identity):
-                continue
-            sub = {
-                letter: Word("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3))))
-                for letter in "xyz"
-            }
-            image = parse_identity(f"{substitute(u, sub)} = {substitute(w, sub)}")
-            assert decide(v, image), (v, str(identity), str(image))
-            checked += 1
+        pairs = verify._holding_pairs(v, words)
+        block_sizes = Counter(key(v, w) for w in words).values()
+        assert len(pairs) == len(set(pairs)) == sum(n * n for n in block_sizes)
+        assert all(decide(v, Identity(u, w, Mode.IS)) for u, w in pairs)
 
 
 def test_normalize_matches_is_decision_small():
@@ -284,3 +290,18 @@ def test_substitution_closure_catches_a_planted_fault(monkeypatch):
     v = Variety(found.group(2))
     assert decide(v, parse_identity(found.group(3)))
     assert not decide(v, parse_identity(found.group(4)))
+
+
+def test_substitution_closure_catches_a_fault_only_long_words_reveal(monkeypatch):
+    # B's key also tells words of length >= 7 from shorter ones.  Words of
+    # length <= 3 reach length 7 under substitution only by some image of
+    # length 3, so the default sample must draw those images to see the fault
+    monkeypatch.setitem(_COMPONENT_KEYS, Variety.B, lambda w: (los(w), len(w) >= 7))
+    res = verify.invariant_substitution_closure(seed=verify.DEFAULT_SEED)
+    assert not res.passed
+    found = re.search(r"failures=(\d+) first=(\S+): (.+ = .+) -> (.+) = (.+)$", res.detail)
+    assert int(found.group(1)) > 0
+    v = Variety(found.group(2))
+    assert decide(v, parse_identity(found.group(3)))
+    assert not decide(v, parse_identity(f"{found.group(4)} = {found.group(5)}"))
+    assert max(len(found.group(4)), len(found.group(5))) >= 7
