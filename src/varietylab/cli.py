@@ -100,7 +100,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    report = enumerate_algebras(args.order, Mode(args.mode), jobs=args.jobs)
+    report = enumerate_algebras(args.order, Mode(args.mode))
     sys.stdout.write(render_report(report))
     return 0
 
@@ -119,7 +119,7 @@ def cmd_replay(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    results = verify.run_all(jobs=args.jobs)
+    results = verify.run_all()
     failed = 0
     for res in results:
         mark = "ok" if res.passed else "FAIL"
@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
 
 
 def _jobs(text: str) -> int:
-    """A worker count: an integer of at least 1."""
+    """The --jobs value: an integer of at least 1."""
     try:
         jobs = int(text)
     except ValueError:
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="VARIETYLAB_SEED seeds the randomized sweeps in verify-paper.",
     )
     parser.add_argument(
-        "--jobs", type=_jobs, default=1, help="worker processes for enumeration sweeps"
+        "--jobs", type=_jobs, default=1, help="at least 1; the census is always one process"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

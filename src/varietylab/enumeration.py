@@ -35,9 +35,8 @@ at the leaf and goes into a set, so the walk keeps one blob per isomorphism
 class, not its tables.  Once the walk is done, `models.check_axioms`, which
 is independent of the search, checks each class once, on the representative
 that is output.  `SearchStats` counts the values tried, the prunes, the
-complete tables and the classes that check rejected.  Several workers walk
-the same tree as one: it is cut at the end of the fixed prefix, and each
-node there is one chunk; a single worker walks it uncut.
+complete tables and the classes that check rejected.  The census is one walk
+in one process: at orders up to 5 a worker pool never paid for its start-up.
 
 `canonical_form` tries the relabelings that fix 0 in C-level operations: a
 relabeling is an `operator.itemgetter` over the flat cells and a 256-byte
@@ -52,9 +51,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import multiprocessing
 import operator
-import os
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -210,9 +207,9 @@ def _prefix(n: int) -> list:
     return cells
 
 
-def _root(n: int, mode: Mode):
-    """The root node: depth, empty flat table, every instance, largest
-    element used."""
+def _root(n: int, mode: Mode) -> list:
+    """The instance lists of the empty table: every instance, filed under
+    the cell of its first lookup."""
     pending = [[] for _ in range(n * n)]
     for law in _LAWS[mode]:
         arity, steps, lhs, rhs = _compile(law)
@@ -220,7 +217,7 @@ def _root(n: int, mode: Mode):
         for values in itertools.product(range(n), repeat=arity):
             regs = (0, *values)
             pending[regs[a] * n + regs[b]].append((len(steps), regs, (steps, lhs, rhs)))
-    return 0, (None,) * (n * n), [sorted(due) for due in pending], 0
+    return [sorted(due) for due in pending]
 
 
 def _propagate(pending, c, t, n):
@@ -252,24 +249,19 @@ def _propagate(pending, c, t, n):
     return kept
 
 
-def _search(order: int, mode: Mode, node=None, stop=None):
-    """Walk the search tree below `node` (the root when None).  Return the
-    nodes reached at depth `stop` or, with no stop, the set of canonical
-    forms of the complete tables; and the walk's SearchStats, whose
-    leaf_rejects is left to `_census`."""
+def _search(order: int, mode: Mode):
+    """Walk the whole search tree.  Return the set of canonical forms of the
+    complete tables and the walk's SearchStats, whose leaf_rejects is left
+    to `_census`."""
     n = order
     prefix = _prefix(n)
     inner = [i * n + j for i in range(1, n) for j in range(1, n)]
-    depth, table, pending, mdn = _root(n, mode) if node is None else node
-    t = list(table)
-    out = [] if stop is not None else set()
+    t = [None] * (n * n)
+    out = set()
     nodes = prunes = leaves = 0
 
     def walk(k, pending, mdn):
         nonlocal nodes, prunes, leaves
-        if k == stop:
-            out.append((k, tuple(t), pending, mdn))
-            return
         if k == n * n:
             leaves += 1
             rows = [t[i:i + n] for i in range(0, n * n, n)]
@@ -298,13 +290,8 @@ def _search(order: int, mode: Mode, node=None, stop=None):
                 walk(k + 1, kept, max(bound, v))
         t[c] = None
 
-    walk(depth, pending, mdn)
+    walk(0, _root(n, mode), 0)
     return out, SearchStats(nodes, prunes, leaves, 0)
-
-
-def _solve_chunk(args):
-    order, mode, node = args
-    return _search(order, mode, node)
 
 
 _cache: dict = {}
@@ -313,7 +300,8 @@ _cache: dict = {}
 def enumerate_algebras(order: int, mode: Mode, jobs: int = 1) -> EnumerationReport:
     """All algebras of the given order and mode, one canonical representative
     per isomorphism class, sorted by canonical bytes.  Refuses orders beyond
-    the desk-scale bound."""
+    the desk-scale bound.  `jobs` is checked (at least 1) but changes
+    nothing: the walk is always one process."""
     if order < 1:
         raise ValueError("order must be at least 1")
     if order > MAX_ORDER:
@@ -324,7 +312,7 @@ def enumerate_algebras(order: int, mode: Mode, jobs: int = 1) -> EnumerationRepo
     key = (order, mode)
     if key not in _cache:
         t0 = time.perf_counter()
-        blobs, stats = _census(order, mode, jobs)
+        blobs, stats = _census(order, mode)
         _cache[key] = blobs, stats, time.perf_counter() - t0
     blobs, stats, elapsed_s = _cache[key]
     algebras = tuple(algebra_from_canonical(b) for b in blobs)
@@ -337,33 +325,12 @@ def enumerate_algebras(order: int, mode: Mode, jobs: int = 1) -> EnumerationRepo
     return EnumerationReport(order, mode, algebras, per_variety, stats, elapsed_s)
 
 
-def _census(order: int, mode: Mode, jobs: int) -> tuple:
-    """Sorted canonical blobs and the summed SearchStats.  One worker walks
-    the whole tree at once.  For more, the tree is cut at the end of the
-    fixed prefix (row 0 and column 0, the first 2n-1 cells) and the nodes
-    there are walked as chunks, in worker processes when more than one is
-    useful.  A node carries its table, its instance lists and mdn, and the
-    walk below it picks its cells from those alone, so the chunks together
-    walk the uncut tree.  The walks' sets of blobs are merged, and then
-    check_axioms runs once per class, on the representative that is output;
-    leaf_rejects counts the classes it rejects.  So every worker count gives
-    the same blobs and the same summed SearchStats."""
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs == 1:
-        blobs, stats = _search(order, mode)
-    else:
-        frontier, stats = _search(order, mode, stop=2 * order - 1)
-        chunks = [(order, mode, node) for node in frontier]
-        jobs = min(jobs, len(chunks))
-        if jobs > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                parts = pool.map(_solve_chunk, chunks)
-        else:
-            parts = map(_solve_chunk, chunks)
-        blobs = set()
-        for chunk_blobs, chunk_stats in parts:
-            blobs |= chunk_blobs
-            stats = SearchStats(*map(operator.add, stats, chunk_stats))
+def _census(order: int, mode: Mode) -> tuple:
+    """Sorted canonical blobs and the walk's SearchStats.  One walk collects
+    the set of blobs, and then check_axioms runs once per class, on the
+    representative that is output; leaf_rejects counts the classes it
+    rejects."""
+    blobs, stats = _search(order, mode)
     passed = tuple(
         blob for blob in sorted(blobs)
         if check_axioms(algebra_from_canonical(blob), mode).passed

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-from . import derivations, enumeration, lattice as lattice_mod, models, varieties
+from . import derivations, lattice as lattice_mod, models, varieties
 from .derivations import replay, shipped_scripts
 from .enumeration import canonical_form, classify, enumerate_algebras
 from .lattice import (
@@ -259,14 +259,9 @@ def check_10_derivation_replay() -> CheckResult:
     )
 
 
-def check_11_subdirect_decomposition(jobs: int = 1) -> CheckResult:
-    census = enumerate_algebras(4, Mode.IS, jobs)
+def check_11_subdirect_decomposition() -> CheckResult:
+    census = enumerate_algebras(4, Mode.IS)
     problems = []
-    # with more workers, two fresh walks (blobs and SearchStats):
-    # enumerate_algebras caches by order and mode, so its census may come
-    # from an earlier serial call
-    if jobs > 1 and enumeration._census(4, Mode.IS, jobs) != enumeration._census(4, Mode.IS, 1):
-        problems.append("worker count changes the order-4 census")
     # the census may be cached: its own walk's time, not this call's
     if census.elapsed_s >= 600.0:
         problems.append(f"order-4 enumeration too slow ({census.elapsed_s:.0f}s)")
@@ -478,13 +473,30 @@ def invariant_batched_oracle_agreement(seed: int, samples: int = 400) -> CheckRe
     )
 
 
+# each order-3 census, one class per word of its table's cells in row-major
+# order, taken from the brute-force census of tests/test_enumeration.py
+ORDER_THREE_CENSUS = {
+    Mode.IS: "000000000 000000001 002002222 011111111 012111212 012112212",
+    Mode.IZ: "000000000 000000001 000000010 000000011 000000100 000000101 000000110"
+    " 000000111 002002222 011111111 012111212 012112212 012212112 111010111"
+    " 111011011 111012212 112012222",
+}
+
+
 def invariant_parallel_determinism() -> CheckResult:
-    # blobs and SearchStats alike: both walks visit the same tree
-    ok = all(
-        enumeration._census(3, mode, 1) == enumeration._census(3, mode, 2)
-        for mode in (Mode.IS, Mode.IZ)
-    )
-    return CheckResult("parallel-determinism", ok, "order-3 censuses agree")
+    """Each mode's order-3 census against the one pinned from brute force,
+    not against a second walk of the same search.  The name and the detail
+    date from a worker pool that is gone; they stay because benchmark gates
+    and the pinned verify-paper output read this line."""
+    wrong = []
+    for mode, pin in ORDER_THREE_CENSUS.items():
+        census = enumerate_algebras(3, mode).algebras
+        if " ".join("".join(map(str, itertools.chain(*a.table))) for a in census) != pin:
+            wrong.append(mode.value)
+    detail = "order-3 censuses agree"
+    if wrong:
+        detail = "order-3 census differs from its pinned one: " + " ".join(wrong)
+    return CheckResult("parallel-determinism", not wrong, detail)
 
 
 def invariant_classification_coincidence() -> CheckResult:
@@ -810,13 +822,13 @@ def _raises(fn) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def run_all(jobs: int = 1, seed: int | None = None) -> list:
+def run_all(seed: int | None = None) -> list:
     """All numbered checks, invariants and examples, in a fixed order."""
     if seed is None:
         seed = seed_from_env()
     results = []
     for idx, fn in enumerate(NUMBERED_CHECKS, start=1):
-        res = fn(jobs) if fn is check_11_subdirect_decomposition else fn()
+        res = fn()
         results.append(CheckResult(f"{idx:02d} {res.name}", res.passed, res.detail))
     results.extend(invariant_checks(seed))
     examples = example_checks()

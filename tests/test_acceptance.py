@@ -57,37 +57,14 @@ def test_criterion_10_derivation_replay():
 
 
 def test_criterion_11_subdirect_and_band_monoid():
-    report(verify.check_11_subdirect_decomposition(jobs=4))
-
-
-def test_criterion_11_compares_two_different_walks(monkeypatch):
-    walks = []
-    census = enumeration._census
-
-    def recording_census(order, mode, jobs):
-        walks.append((order, jobs))
-        blobs, stats = census(order, mode, jobs)
-        # a planted fault: more workers lose the last class
-        return (blobs[:-1] if jobs > 1 and faulty else blobs), stats
-
-    monkeypatch.setattr(enumeration, "_cache", {})
-    monkeypatch.setattr(enumeration, "_census", recording_census)
-    faulty = False
-    assert verify.check_11_subdirect_decomposition(1).passed
-    assert [walk for walk in walks if walk[0] == 4] == [(4, 1)]
-    walks.clear()
-    assert verify.check_11_subdirect_decomposition(2).passed
-    assert walks == [(4, 2), (4, 1)]
-    faulty = True
-    res = verify.check_11_subdirect_decomposition(2)
-    assert not res.passed and "worker count changes the order-4 census" in res.detail
+    report(verify.check_11_subdirect_decomposition())
 
 
 def test_criterion_11_budget_times_the_cached_walk(monkeypatch):
     # a census cached by an earlier, slow walk: the call itself is a lookup
-    blobs, stats = enumeration._census(4, Mode.IS, 1)
+    blobs, stats = enumeration._census(4, Mode.IS)
     monkeypatch.setattr(enumeration, "_cache", {(4, Mode.IS): (blobs, stats, 600.0)})
-    res = verify.check_11_subdirect_decomposition(1)
+    res = verify.check_11_subdirect_decomposition()
     assert not res.passed and "order-4 enumeration too slow (600s)" in res.detail
 
 
@@ -128,3 +105,17 @@ def invariant_results():
 )
 def test_invariants(name, invariant_results):
     report(invariant_results[name])
+
+
+def test_parallel_determinism_catches_a_lost_class(monkeypatch):
+    census = enumeration._census
+
+    def faulty_census(order, mode):
+        blobs, stats = census(order, mode)
+        # a planted fault: the order-3 tree-mode walk loses its last class
+        return (blobs[:-1] if (order, mode) == (3, Mode.IZ) else blobs), stats
+
+    monkeypatch.setattr(enumeration, "_cache", {})
+    monkeypatch.setattr(enumeration, "_census", faulty_census)
+    res = verify.invariant_parallel_determinism()
+    assert not res.passed and res.detail.endswith(": iz")

@@ -271,10 +271,9 @@ _FILE_TEXTS = st.one_of(
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(words=_ARGV, texts=st.lists(_FILE_TEXTS, min_size=1, max_size=2))
-def test_cli_fuzz_never_tracebacks(capsys, monkeypatch, tmp_path, pool_sizes, words, texts):
-    # no verify-paper, enumerate orders up to 3, --jobs 1 or 2, and worker
-    # processes replaced by the recording pool: every case is cheap; relative
-    # paths (a --dot target) land in the test's directory
+def test_cli_fuzz_never_tracebacks(capsys, monkeypatch, tmp_path, words, texts):
+    # no verify-paper and enumerate orders up to 3: every case is cheap;
+    # relative paths (a --dot target) land in the test's directory
     monkeypatch.chdir(tmp_path)
     argv = []
     for word in words:

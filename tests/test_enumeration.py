@@ -1,11 +1,12 @@
+import functools
 import hashlib
 import itertools
-import os
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varietylab import enumeration, models
+from varietylab import enumeration, models, verify
 from varietylab.enumeration import (
     MAX_KEPT_RELABELINGS,
     MAX_ORDER,
@@ -46,6 +47,7 @@ def reference_canonical_form(a):
     return bytes([n]) + best
 
 
+@functools.cache  # three tests ask for each order-3 census
 def brute_force_census(order, mode):
     """Independent oracle: every table, every distinguished element, no
     pruning, no backtracking; reference forms of the axiom survivors."""
@@ -156,21 +158,11 @@ def test_order_six_calls_share_one_relabeling_table(monkeypatch):
     assert enumeration._relabelings(6) is table
 
 
-def test_parallel_matches_sequential():
-    # blobs and search counts alike: the chunked walk of two workers and the
-    # uncut walk of one visit the same tree, also where each chunk chooses
-    # its own cells below the cut
-    assert _census(3, Mode.IS, 2) == _census(3, Mode.IS, 1)
-    assert _census(3, Mode.IZ, 2) == _census(3, Mode.IZ, 1)
-    assert _census(4, Mode.IS, 2) == _census(4, Mode.IS, 1)
-    assert _census(4, Mode.IZ, 2) == _census(4, Mode.IZ, 1)
-
-
 @pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_census_matches_naive_oracle(order, mode):
     # validates both the pruning and pinning the constant at index 0
-    assert brute_force_census(order, mode) == _census(order, mode, 1)[0]
+    assert brute_force_census(order, mode) == _census(order, mode)[0]
 
 
 # sha256 of the joined canonical blobs, taken from the full-scan engine that
@@ -183,7 +175,7 @@ ORDER_FOUR_DIGESTS = {
 
 @pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
 def test_order_four_census_matches_pinned_digest(mode):
-    blobs, _ = _census(4, mode, 1)
+    blobs, _ = _census(4, mode)
     assert (len(blobs), hashlib.sha256(b"".join(blobs)).hexdigest()) == ORDER_FOUR_DIGESTS[mode]
 
 
@@ -205,7 +197,7 @@ def test_order_four_search_counts(mode, stats):
 
 def test_order_five_associative_census_matches_pinned_digest():
     # digest taken from the walk that filled the cells in row-major order
-    blobs, _ = _census(5, Mode.IS, 1)
+    blobs, _ = _census(5, Mode.IS)
     assert (len(blobs), hashlib.sha256(b"".join(blobs)).hexdigest()) == (
         206,
         "d7e067e0410f415a1e9aa3a9e32ec56fe20065802810888bbae74ec13393f7da",
@@ -219,17 +211,13 @@ def test_order_five_associative_report():
 
 
 @pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
-def test_class_check_catches_a_planted_fault(monkeypatch, pool_sizes, mode):
+def test_class_check_catches_a_planted_fault(monkeypatch, mode):
     # with all laws but the first gone, the walk lets through tables that
-    # break the axioms; the check once per class must drop them, in the
-    # uncut and the chunked census alike
+    # break the axioms; the check once per class must drop them
     monkeypatch.setitem(enumeration._LAWS, mode, enumeration._LAWS[mode][:1])
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    blobs, stats = serial = _census(3, mode, 1)
+    blobs, stats = _census(3, mode)
     assert blobs == brute_force_census(3, mode)
     assert stats.leaf_rejects > 0
-    assert _census(3, mode, 2) == serial
-    assert pool_sizes == [2]
 
 
 def test_report_carries_the_time_of_the_walk_that_ran(monkeypatch):
@@ -240,34 +228,30 @@ def test_report_carries_the_time_of_the_walk_that_ran(monkeypatch):
     assert enumerate_algebras(3, Mode.IZ, jobs=2).elapsed_s == first.elapsed_s
 
 
-def test_jobs_clamped_to_cpus_and_chunks(monkeypatch, pool_sizes):
-    sizes = pool_sizes
-    serial = _census(3, Mode.IZ, 1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert _census(3, Mode.IZ, 1000) == serial
-    assert sizes == [3]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _census(3, Mode.IZ, 1000) == serial
-    # associative order 2 has two chunks: cell (0,0) is 0, (0,1) = (1,0) in {0, 1}
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert _census(2, Mode.IS, 1000) == _census(2, Mode.IS, 1)
-    assert sizes == [3, 2]
+@pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
+def test_order_three_pins_of_the_check_match_brute_force(mode):
+    # verify-paper's parallel-determinism line compares the search with these
+    blobs = brute_force_census(3, mode)
+    assert verify.ORDER_THREE_CENSUS[mode] == " ".join("".join(map(str, b[1:])) for b in blobs)
 
 
-def test_serial_census_walks_the_tree_uncut(monkeypatch):
-    stops = []
-    search = enumeration._search
+def test_census_is_one_walk_whatever_jobs(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the census started a worker pool")
 
-    def recording_search(order, mode, node=None, stop=None):
-        stops.append((node is None, stop))
-        return search(order, mode, node, stop)
-
-    monkeypatch.setattr(enumeration, "_search", recording_search)
-    _census(3, Mode.IZ, 1)
-    assert stops == [(True, None)]
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    _census(3, Mode.IZ, 2)
-    assert stops == [(True, None)] * 2
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(enumeration, "_cache", {})
+    # the pins of the two tests above
+    for mode, stats in (
+        (Mode.IS, SearchStats(nodes=1983, prunes=1375, leaves=112, leaf_rejects=0)),
+        (Mode.IZ, SearchStats(nodes=12264, prunes=8168, leaves=1029, leaf_rejects=0)),
+    ):
+        blobs, walked = _census(4, mode)
+        digest = hashlib.sha256(b"".join(blobs)).hexdigest()
+        assert ((len(blobs), digest), walked) == (ORDER_FOUR_DIGESTS[mode], stats)
+    assert enumerate_algebras(2, Mode.IS, jobs=2).algebras == (
+        enumerate_algebras(2, Mode.IS, jobs=1).algebras
+    )
 
 
 def test_classify_small_orders():
