@@ -24,8 +24,7 @@ from .terms import (
     Word,
     numbered_lines,
     parse_identity,
-    parse_term,
-    parse_word,
+    parse_side,
     substitute,
     substitute_term,
 )
@@ -240,8 +239,7 @@ def parse_script(text: str) -> Script:
                 pos += 1
         goal = parse_identity(expect("goal:"), mode)
         pos += 1
-        start_text = expect("start:")
-        start = parse_word(start_text) if mode is Mode.IS else parse_term(start_text)
+        start = parse_side(expect("start:"), mode)
         steps = []
         for pos in range(pos + 1, len(lines)):
             steps.append(_parse_step(lines[pos], mode))
@@ -272,11 +270,8 @@ def _parse_step(line: str, mode: Mode) -> Step:
             var = var.strip()
             if not var:
                 raise ValueError(f"bad binding in {line!r}")
-            image = image.strip()
-            substitution[var] = (
-                parse_word(image) if mode is Mode.IS else parse_term(image)
-            )
-    result = parse_word(result_text) if mode is Mode.IS else parse_term(result_text)
+            substitution[var] = parse_side(image.strip(), mode)
+    result = parse_side(result_text, mode)
     return Step(label, Direction(direction), position, substitution, result)
 
 

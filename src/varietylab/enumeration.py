@@ -53,6 +53,7 @@ import bisect
 import itertools
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,18 +73,24 @@ MAX_ORDER = 5
 MAX_KEPT_RELABELINGS = 120
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnumerationReport:
     order: int
     mode: Mode
     algebras: tuple
-    per_variety: dict | None = None
     stats: SearchStats | None = None
     elapsed_s: float | None = None  # wall time of the walk that made the census
+    # the least variety of each algebra, in associative mode only
+    varieties: tuple | None = None
 
     @property
     def count(self) -> int:
         return len(self.algebras)
+
+    @property
+    def per_variety(self) -> dict | None:
+        """How many algebras each variety has, in order of first occurrence."""
+        return None if self.varieties is None else dict(Counter(self.varieties))
 
 
 def canonical_form(a: FiniteAlgebra) -> bytes:
@@ -294,14 +301,14 @@ def _search(order: int, mode: Mode):
     return out, SearchStats(nodes, prunes, leaves, 0)
 
 
-_cache: dict = {}
+_cache: dict = {}  # (order, mode) -> its finished EnumerationReport
 
 
 def enumerate_algebras(order: int, mode: Mode, jobs: int = 1) -> EnumerationReport:
     """All algebras of the given order and mode, one canonical representative
-    per isomorphism class, sorted by canonical bytes.  Refuses orders beyond
-    the desk-scale bound.  `jobs` is checked (at least 1) but changes
-    nothing: the walk is always one process."""
+    per isomorphism class, sorted by canonical bytes; the report is built once
+    and cached.  Refuses orders beyond the desk-scale bound.  `jobs` is checked
+    (at least 1) but changes nothing: the walk is always one process."""
     if order < 1:
         raise ValueError("order must be at least 1")
     if order > MAX_ORDER:
@@ -313,16 +320,13 @@ def enumerate_algebras(order: int, mode: Mode, jobs: int = 1) -> EnumerationRepo
     if key not in _cache:
         t0 = time.perf_counter()
         blobs, stats = _census(order, mode)
-        _cache[key] = blobs, stats, time.perf_counter() - t0
-    blobs, stats, elapsed_s = _cache[key]
-    algebras = tuple(algebra_from_canonical(b) for b in blobs)
-    per_variety = None
-    if mode is Mode.IS:
-        per_variety = {}
-        for a in algebras:
-            v = varieties.variety_of(a)
-            per_variety[v] = per_variety.get(v, 0) + 1
-    return EnumerationReport(order, mode, algebras, per_variety, stats, elapsed_s)
+        elapsed_s = time.perf_counter() - t0
+        algebras = tuple(algebra_from_canonical(b) for b in blobs)
+        kinds = None
+        if mode is Mode.IS:
+            kinds = tuple(varieties.variety_of(a) for a in algebras)
+        _cache[key] = EnumerationReport(order, mode, algebras, stats, elapsed_s, kinds)
+    return _cache[key]
 
 
 def _census(order: int, mode: Mode) -> tuple:
@@ -343,17 +347,14 @@ def _census(order: int, mode: Mode) -> tuple:
 
 
 def classify(report: EnumerationReport) -> dict:
-    """Assign each algebra its least variety and verify, over the bounded
-    exhaustive identity set, that the algebra satisfies exactly the identities
-    its variety decides true.  A mismatch would mean an unlisted variety."""
+    """Verify, over the bounded exhaustive identity set, that each algebra
+    satisfies exactly the identities its variety in the report decides true;
+    return the count per variety.  A mismatch would mean an unlisted variety."""
     if report.mode is not Mode.IS:
         raise ValueError("classification applies to associative mode only")
     words = varieties.exhaustive_identity_words()
-    counts: dict = {}
     keys: dict = {}  # variety -> word -> key, built when the variety first occurs
-    for a in report.algebras:
-        v = varieties.variety_of(a)
-        counts[v] = counts.get(v, 0) + 1
+    for a, v in zip(report.algebras, report.varieties):
         if v not in keys:
             keys[v] = {w: varieties.key(v, w) for w in words}
         class_of = word_value_classes(a, words)
@@ -364,7 +365,7 @@ def classify(report: EnumerationReport) -> dict:
             raise AssertionError(
                 f"algebra satisfies a different identity set than {v}: {pair[0]} = {pair[1]}"
             )
-    return counts
+    return report.per_variety
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +373,8 @@ def classify(report: EnumerationReport) -> dict:
 
 
 def render_report(report: EnumerationReport) -> str:
-    blocks = []
-    for a in report.algebras:
-        lines = []
-        if report.mode is Mode.IS:
-            lines.append(f"# variety: {varieties.variety_of(a)}")
-        lines.append(render_algebra(a).rstrip("\n"))
-        blocks.append("\n".join(lines))
+    blocks = [render_algebra(a).rstrip("\n") for a in report.algebras]
+    if report.varieties is not None:
+        blocks = [f"# variety: {v}\n{b}" for v, b in zip(report.varieties, blocks)]
     footer = f"order={report.order} mode={report.mode.value} classes={report.count}"
     return "\n\n".join(blocks + [footer]) + "\n"

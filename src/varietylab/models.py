@@ -474,7 +474,43 @@ def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 # Builtin algebras
 
-BUILTIN_NAMES = ("trivial", "A", "B", "K", "L", "M", "Z", "2s", "2b", "BxK_mod_I")
+# name -> (rows, distinguished element, element names)
+_BUILTINS = {
+    "trivial": ([[0]], 0, ["0"]),
+    # 2-element semilattice (meet), constant = top
+    "A": ([[0, 0], [0, 1]], 1, ["0", "1"]),
+    # right-zero band {e, f} with adjoined identity, constant = identity
+    "B": ([[0, 1, 0], [0, 1, 1], [0, 1, 2]], 2, ["e", "f", "1"]),
+    # commutative, a*a = b*b = 0, all triple products zero
+    "K": (
+        [[3, 2, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3], [3, 3, 3, 3]],
+        3,
+        ["a", "b", "ab", "0"],
+    ),
+    # like K but b*a = 0 while a*b stays nonzero
+    "L": (
+        [[3, 2, 3, 3], [3, 3, 3, 3], [3, 3, 3, 3], [3, 3, 3, 3]],
+        3,
+        ["a", "b", "ab", "0"],
+    ),
+    # commutative, a*a = 0, b*b nonzero, every triple product zero
+    "M": (
+        [
+            [4, 3, 4, 4, 4],
+            [3, 2, 4, 4, 4],
+            [4, 4, 4, 4, 4],
+            [4, 4, 4, 4, 4],
+            [4, 4, 4, 4, 4],
+        ],
+        4,
+        ["a", "b", "b2", "ab", "0"],
+    ),
+    "Z": ([[1, 1], [1, 1]], 1, ["a", "0"]),
+    "2s": ([[0, 1], [1, 1]], 0, ["0", "1"]),
+    "2b": ([[1, 1], [0, 1]], 0, ["0", "1"]),
+}
+
+BUILTIN_NAMES = (*_BUILTINS, "BxK_mod_I")
 
 
 @lru_cache(maxsize=None)
@@ -482,57 +518,16 @@ def builtin(name: str) -> FiniteAlgebra:
     """The named concrete algebras used throughout: semilattice A, band B,
     the nilpotent semigroups K, L, M, null semigroup Z, the two 2-element
     tree-mode algebras, and the Rees quotient of B x K."""
-    if name == "trivial":
-        return make_algebra([[0]], 0, "trivial", ["0"])
-    if name == "A":
-        # 2-element semilattice (meet), constant = top
-        return make_algebra([[0, 0], [0, 1]], 1, "A", ["0", "1"])
-    if name == "B":
-        # right-zero band {e, f} with adjoined identity, constant = identity
-        return make_algebra([[0, 1, 0], [0, 1, 1], [0, 1, 2]], 2, "B", ["e", "f", "1"])
-    if name == "K":
-        # commutative, a*a = b*b = 0, all triple products zero
-        return make_algebra(
-            [[3, 2, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3], [3, 3, 3, 3]],
-            3,
-            "K",
-            ["a", "b", "ab", "0"],
-        )
-    if name == "L":
-        # like K but b*a = 0 while a*b stays nonzero
-        return make_algebra(
-            [[3, 2, 3, 3], [3, 3, 3, 3], [3, 3, 3, 3], [3, 3, 3, 3]],
-            3,
-            "L",
-            ["a", "b", "ab", "0"],
-        )
-    if name == "M":
-        # commutative, a*a = 0, b*b nonzero, every triple product zero
-        return make_algebra(
-            [
-                [4, 3, 4, 4, 4],
-                [3, 2, 4, 4, 4],
-                [4, 4, 4, 4, 4],
-                [4, 4, 4, 4, 4],
-                [4, 4, 4, 4, 4],
-            ],
-            4,
-            "M",
-            ["a", "b", "b2", "ab", "0"],
-        )
-    if name == "Z":
-        return make_algebra([[1, 1], [1, 1]], 1, "Z", ["a", "0"])
-    if name == "2s":
-        return make_algebra([[0, 1], [1, 1]], 0, "2s", ["0", "1"])
-    if name == "2b":
-        return make_algebra([[1, 1], [0, 1]], 0, "2b", ["0", "1"])
     if name == "BxK_mod_I":
         prod = direct_product(builtin("B"), builtin("K"))
         zero_k = 3
         ideal = {i * 4 + zero_k for i in range(3)}
         quo = rees_quotient(prod, ideal)
         return FiniteAlgebra(quo.table, quo.distinguished, "BxK_mod_I", quo.element_names)
-    raise ValueError(f"unknown builtin algebra {name!r}")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin algebra {name!r}")
+    rows, distinguished, element_names = _BUILTINS[name]
+    return make_algebra(rows, distinguished, name, element_names)
 
 
 # ---------------------------------------------------------------------------

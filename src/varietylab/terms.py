@@ -90,17 +90,14 @@ class Word:
 
 def parse_word(text: str) -> Word:
     """Parse a flat word; whitespace is ignored, anything else must be a-z or O."""
-    out = []
-    for i, ch in enumerate(text):
-        if ch.isspace():
-            continue
-        if ch == OMEGA or ch in _LETTERS:
-            out.append(ch)
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    if not out:
+    symbols = "".join(text.split())
+    invalid = symbols.translate(_DROP_WORD_SYMBOLS)
+    if invalid:
+        # its first occurrence in text: any earlier one would come first here too
+        raise ParseError(f"unexpected character {invalid[0]!r}", text.index(invalid[0]))
+    if not symbols:
         raise ParseError("empty word", len(text))
-    return Word("".join(out))
+    return Word(symbols)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -322,6 +319,13 @@ class Identity:
         return f"{self.lhs} = {self.rhs}"
 
 
+def parse_side(text: str, mode: Mode):
+    """Parse one side of an identity: a word in associative mode, a tree
+    term in tree mode."""
+    # module globals, not a table of functions: a wrapper set on either sees every call
+    return parse_word(text) if mode is Mode.IS else parse_term(text)
+
+
 def parse_identity(text: str, mode: Mode = Mode.IS) -> Identity:
     """Parse ``side = side`` in the given mode; offsets refer to the full text."""
     eq = text.find("=")
@@ -330,10 +334,9 @@ def parse_identity(text: str, mode: Mode = Mode.IS) -> Identity:
     second = text.find("=", eq + 1)
     if second >= 0:
         raise ParseError("more than one '='", second)
-    parse = parse_word if mode is Mode.IS else parse_term
-    lhs = parse(text[:eq])
+    lhs = parse_side(text[:eq], mode)
     try:
-        rhs = parse(text[eq + 1:])
+        rhs = parse_side(text[eq + 1:], mode)
     except ParseError as exc:
         raise ParseError(str(exc).rsplit(" (offset", 1)[0], exc.offset + eq + 1) from None
     return Identity(lhs, rhs, mode)

@@ -4,6 +4,8 @@ Each test prints a single pass/fail line; the same checks back the CLI's
 verify-paper command.
 """
 
+import dataclasses
+
 import pytest
 
 from varietylab import enumeration, verify
@@ -62,10 +64,37 @@ def test_criterion_11_subdirect_and_band_monoid():
 
 def test_criterion_11_budget_times_the_cached_walk(monkeypatch):
     # a census cached by an earlier, slow walk: the call itself is a lookup
-    blobs, stats = enumeration._census(4, Mode.IS)
-    monkeypatch.setattr(enumeration, "_cache", {(4, Mode.IS): (blobs, stats, 600.0)})
+    slow = dataclasses.replace(enumeration.enumerate_algebras(4, Mode.IS), elapsed_s=600.0)
+    monkeypatch.setattr(enumeration, "_cache", {(4, Mode.IS): slow})
     res = verify.check_11_subdirect_decomposition()
     assert not res.passed and "order-4 enumeration too slow (600s)" in res.detail
+
+
+class _SlowClock:
+    """A stand-in for the time module whose clock moves 1000 s per reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1000.0
+        return self.now
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        verify.check_01_lattice_reproduction,
+        verify.check_02_non_modularity,
+        verify.check_06_decision_oracle_equivalence,
+        verify.check_10_derivation_replay,
+        verify.check_12_tree_mode_models,
+    ],
+)
+def test_budget_overrun_fails_and_names_itself(monkeypatch, check):
+    monkeypatch.setattr(verify, "time", _SlowClock())
+    res = check()
+    assert not res.passed and res.detail.endswith("too slow (1000.00s)")
 
 
 def test_criterion_12_tree_mode_models():

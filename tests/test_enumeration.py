@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -6,7 +7,7 @@ import multiprocessing
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varietylab import enumeration, models, verify
+from varietylab import enumeration, models, varieties, verify
 from varietylab.enumeration import (
     MAX_KEPT_RELABELINGS,
     MAX_ORDER,
@@ -252,6 +253,21 @@ def test_census_is_one_walk_whatever_jobs(monkeypatch):
     assert enumerate_algebras(2, Mode.IS, jobs=2).algebras == (
         enumerate_algebras(2, Mode.IS, jobs=1).algebras
     )
+
+
+def test_report_is_built_once_and_frozen(monkeypatch):
+    rep = enumerate_algebras(4, Mode.IS)
+    assert enumerate_algebras(4, Mode.IS) is rep
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.algebras = ()
+    calls = []
+    variety_of = varieties.variety_of
+    monkeypatch.setattr(varieties, "variety_of", lambda a: calls.append(a) or variety_of(a))
+    classify(rep)
+    render_report(rep)
+    assert calls == []
+    histogram = " ".join(f"{v}:{rep.per_variety[v]}" for v in sorted(rep.per_variety, key=str))
+    assert histogram == "B:4 B+ZM:2 K:1 L:1 M:4 N:3 SL:2 SL+M:2 SL+ZM:6 ZM:1"
 
 
 def test_classify_small_orders():

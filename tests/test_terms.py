@@ -1,8 +1,9 @@
 import itertools
 import math
+import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from varietylab.models import builtin, evaluate, satisfies
 from varietylab.terms import (
@@ -66,6 +67,43 @@ def test_word_constructor_rejects_bad_symbols():
 def test_word_constructor_names_the_first_bad_symbol(text, bad):
     with pytest.raises(ValueError, match=f"^invalid word symbol {bad!r}$"):
         Word(text)
+
+
+def reference_parse_word(text):
+    """Character by character: skip whitespace, keep a-z and O, reject
+    anything else at its offset."""
+    out = []
+    for i, ch in enumerate(text):
+        if ch.isspace():
+            continue
+        if ch == "O" or ch in string.ascii_lowercase:
+            out.append(ch)
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    if not out:
+        raise ParseError("empty word", len(text))
+    return Word("".join(out))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+# letters, O, the characters of the other syntaxes, a non-ASCII letter, and
+# whitespace, Unicode spaces among it
+_WORD_TEXT_ALPHABET = (
+    string.ascii_lowercase + "O" + string.digits + "=#()>Ä"
+    + string.whitespace + "\x1c\u2003\u3000"
+)
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=_WORD_TEXT_ALPHABET, max_size=12))
+def test_parse_word_matches_per_character_reference(text):
+    assert _parse_outcome(parse_word, text) == _parse_outcome(reference_parse_word, text)
 
 
 def test_content():
