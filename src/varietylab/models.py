@@ -17,9 +17,15 @@ only when a letter it reads changes.  ``check_axioms`` compiles the axiom
 texts of ``terms.AXIOM_TEXTS`` once per mode.
 
 ``word_value_classes`` is a second, batched route that shares no evaluation
-code with the register programs: it folds each word into a vector of its
-values over all assignments, one vector product per word on top of the
-vector of its prefix.
+code with the register programs.  It holds a word's values over all
+assignments as one ``bytes`` vector, one byte lane per assignment, and
+builds each word's vector from its prefix's with whole-vector operations
+(packed byte lanes, as in Lamport's "Multiple byte processing with
+full-word instructions", CACM 1975): one carry-free big-integer
+multiply-add puts the index u*n + c of each product's table cell in its
+lane, and one ``bytes.translate`` through the flat table reads the cells.
+A lane holds at most n*n - 1, so the route serves orders up to
+``MAX_LANE_ORDER`` = 16.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import getitem
 
 from .terms import (
     AXIOM_TEXTS,
@@ -235,36 +240,52 @@ def satisfies(a: FiniteAlgebra, ident) -> SatResult:
     return _run(a, *_program(ident))
 
 
+# a lane of the packed vectors is one byte and holds u * n + c < n * n
+MAX_LANE_ORDER = 16
+
+
 def word_value_classes(a: FiniteAlgebra, words, letters=("x", "y", "z")) -> dict:
     """Map each word to an id of its value vector over all |A|^k assignments;
     ids count up from 0 in the order the vectors first occur.
 
     Two words get the same id iff the algebra satisfies their equation, so
     this is ``satisfies`` batched over a family of words sharing an alphabet.
-    A word's vector is the vector of its prefix one symbol shorter times the
-    column of its last symbol, one C-level map per word.  The prefix vectors
-    are kept for the call, so each prefix is multiplied out once, whether or
-    not it is in words and wherever it comes in them."""
-    assigns = list(itertools.product(range(a.order), repeat=len(letters)))
-    base = {
-        letter: tuple(asg[k] for asg in assigns) for k, letter in enumerate(letters)
-    }
-    base[OMEGA] = (a.distinguished,) * len(assigns)
-    row = a.table.__getitem__
+    A vector is ``bytes`` with one lane per assignment, in the order of
+    ``itertools.product``.  A word's vector is its prefix's one symbol
+    shorter, u, times the column c of its last symbol: the big integer of u
+    times n plus the packed c puts u * n + c in each lane with no carry
+    between lanes, and translating through the flat table padded to 256
+    bytes reads each lane's product.  The prefix vectors are kept for the
+    call, so each prefix is multiplied out once, whether or not it is in
+    words and wherever it comes in them.  An order above ``MAX_LANE_ORDER``
+    is a ValueError."""
+    n = a.order
+    if n > MAX_LANE_ORDER:
+        raise ValueError(
+            f"word_value_classes packs values in byte lanes: order {n} is above {MAX_LANE_ORDER}"
+        )
+    assigns = list(itertools.product(range(n), repeat=len(letters)))
+    size = len(assigns)
+    base = {letter: bytes(asg[k] for asg in assigns) for k, letter in enumerate(letters)}
+    base[OMEGA] = bytes((a.distinguished,)) * size
+    packed = {symbol: int.from_bytes(vec, "big") for symbol, vec in base.items()}
+    flat = bytes(itertools.chain.from_iterable(a.table)).ljust(256, b"\0")
     vectors = dict(base)  # symbols of a word -> its value vector
     ids: dict = {}
     class_of: dict = {}
     for w in words:
         s = w.symbols
-        if s not in vectors:
+        vec = vectors.get(s)
+        if vec is None:
             # the longest prefix already known; a single symbol is in base
             k = len(s) - 1
             while k > 1 and s[:k] not in vectors:
                 k -= 1
             vec = vectors[s[:k]]
             for k in range(k, len(s)):
-                vec = vectors[s[:k + 1]] = tuple(map(getitem, map(row, vec), base[s[k]]))
-        class_of[w] = ids.setdefault(vectors[s], len(ids))
+                lanes = int.from_bytes(vec, "big") * n + packed[s[k]]
+                vec = vectors[s[:k + 1]] = lanes.to_bytes(size, "big").translate(flat)
+        class_of[w] = ids.setdefault(vec, len(ids))
     return class_of
 
 

@@ -65,9 +65,13 @@ def numbered_lines(text: str) -> tuple:
 # Flat words
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Word:
-    """Nonempty sequence of letters and ``O``.  Immutable and hashable."""
+    """Nonempty sequence of letters and ``O``.  Immutable and hashable.
+
+    Equality and hash are those of ``symbols``, written out so that a hash
+    is one call on the string, which caches it, rather than on a one-field
+    tuple; a Word still never equals a ``str``."""
 
     symbols: str
 
@@ -77,6 +81,14 @@ class Word:
         invalid = self.symbols.translate(_DROP_WORD_SYMBOLS)
         if invalid:
             raise ValueError(f"invalid word symbol {invalid[0]!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.symbols == other.symbols
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.symbols)
 
     def __str__(self) -> str:
         return self.symbols
@@ -140,10 +152,21 @@ def contains_square(w: Word) -> bool:
     return False
 
 
+def substitution_table(mapping: dict) -> dict:
+    """The ``str.translate`` table of a letter -> image word mapping; O and
+    the letters the mapping leaves out translate to themselves."""
+    return {ord(ch): img.symbols for ch, img in mapping.items() if ch in _LETTERS}
+
+
+def apply_substitution(w: Word, table: dict) -> Word:
+    """The image of w under the substitution whose ``substitution_table`` is
+    table, so that one table serves every word the substitution is applied to."""
+    return Word(w.symbols.translate(table))
+
+
 def substitute(w: Word, mapping: dict) -> Word:
     """Replace each letter by its image word; O is fixed, absent letters too."""
-    table = {ord(ch): img.symbols for ch, img in mapping.items() if ch in _LETTERS}
-    return Word(w.symbols.translate(table))
+    return apply_substitution(w, substitution_table(mapping))
 
 
 def normalize_is(w: Word) -> Word:

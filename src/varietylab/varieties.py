@@ -150,9 +150,14 @@ _COMPONENT_KEYS = {
 }
 
 
+# variety -> its join components, as record(v).join_components has them
+_JOIN_COMPONENTS = {v: components for v, (components, _, _) in _TABLE.items()}
+
+
 def key(v: Variety, w: Word) -> tuple:
     """Normal-form key of w in v: u = w holds in v iff key(v, u) == key(v, w)."""
-    return tuple(_COMPONENT_KEYS[c](w) for c in record(v).join_components)
+    # _COMPONENT_KEYS is read on every call, so a key patched there is seen
+    return tuple([_COMPONENT_KEYS[c](w) for c in _JOIN_COMPONENTS[v]])
 
 
 def decide(v: Variety, ident) -> bool:

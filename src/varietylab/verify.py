@@ -18,7 +18,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from . import derivations, lattice as lattice_mod, models, varieties
@@ -38,6 +38,7 @@ from .terms import (
     Mode,
     Word,
     ZERO,
+    apply_substitution,
     contains_square,
     content,
     length,
@@ -46,6 +47,7 @@ from .terms import (
     parse_identity,
     parse_term,
     substitute,
+    substitution_table,
 )
 from .varieties import Variety, decide, exhaustive_identity_words, record
 
@@ -334,18 +336,16 @@ def check_13_zero_distributivity() -> CheckResult:
 
 
 def corrupt_step_substitution(script, idx):
-    """Copy the script with one binding of one step perturbed."""
-    import copy
-
-    bad = copy.deepcopy(script)
-    step = bad.steps[idx]
+    """Copy the script with one binding of one step perturbed.  Only that
+    step, its substitution and the step list are new; the rest is shared
+    with script, which is left as it was."""
+    step = script.steps[idx]
     var = sorted(step.substitution)[0]
     image = step.substitution[var]
-    if script.mode is Mode.IS:
-        step.substitution[var] = image + Word("O")
-    else:
-        step.substitution[var] = Arrow(image, ZERO)
-    return bad
+    image = image + Word("O") if script.mode is Mode.IS else Arrow(image, ZERO)
+    steps = list(script.steps)
+    steps[idx] = replace(step, substitution={**step.substitution, var: image})
+    return replace(script, steps=steps)
 
 
 NUMBERED_CHECKS = (
@@ -413,8 +413,8 @@ def invariant_substitution_closure(seed: int, samples: int = 1000) -> CheckResul
         images = iter(rng.choices(words, cum_weights=cum_weights, k=3 * samples))
         # one iterator zipped thrice: the images of x, y, z, three at a time
         for (u, w), triple in zip(pairs, zip(images, images, images)):
-            sub = dict(zip("xyz", triple))
-            image = Identity(substitute(u, sub), substitute(w, sub), Mode.IS)
+            table = substitution_table(dict(zip("xyz", triple)))
+            image = Identity(apply_substitution(u, table), apply_substitution(w, table), Mode.IS)
             if not decide(v, image):
                 failures += 1
                 if first is None:

@@ -22,6 +22,7 @@ from varietylab.derivations import (
     SHIPPED_ORDER,
 )
 from varietylab.enumeration import enumerate_algebras
+from varietylab.verify import corrupt_step_substitution
 from varietylab.terms import (
     AXIOM_TEXTS,
     Arrow,
@@ -122,6 +123,25 @@ def test_mutation_of_any_substitution_fails():
             result = replay(corrupt(script, idx))
             assert not result.passed, (script.name, idx)
             assert result.step == idx
+
+
+def test_corrupting_every_step_leaves_the_cached_scripts_unchanged():
+    scripts = shipped_scripts()
+    before = copy.deepcopy(scripts)
+    mutations = 0
+    for script in scripts:
+        for idx, step in enumerate(script.steps):
+            if not step.substitution:
+                continue
+            bad = corrupt_step_substitution(script, idx)
+            assert bad.steps[idx] != step
+            others = script.steps[:idx] + script.steps[idx + 1:]
+            assert bad.steps[:idx] + bad.steps[idx + 1:] == others
+            assert not replay(bad).passed, (script.name, idx)
+            mutations += 1
+    assert mutations == 59
+    assert shipped_scripts() is scripts and scripts == before
+    assert all(replay(script).passed for script in scripts)
 
 
 def test_corrupted_claimed_result_fails():

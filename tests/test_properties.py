@@ -1,11 +1,14 @@
 """Hypothesis sweeps tying independent routes to the same answers."""
 
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from varietylab.enumeration import canonical_form
 from varietylab.models import (
+    MAX_LANE_ORDER,
     builtin,
     evaluate,
     is_isomorphic,
@@ -27,9 +30,9 @@ def relabel(a, perm):
     return make_algebra(table, perm[a.distinguished])
 
 
-def tables(min_order):
-    """(rows, distinguished) of random tables of order min_order..4."""
-    return st.integers(min_order, 4).flatmap(
+def tables(min_order, max_order=4):
+    """(rows, distinguished) of random tables of order min_order..max_order."""
+    return st.integers(min_order, max_order).flatmap(
         lambda n: st.tuples(
             st.lists(
                 st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
@@ -74,26 +77,67 @@ def test_batched_classes_agree_with_satisfies(name, u, v):
 
 
 @st.composite
-def word_families(draw):
+def word_families(draw, alphabet="xyzO"):
     """Words up to length 6, some prefixes of them and some repeats, in any order."""
-    texts = st.text(alphabet="xyzO", min_size=1, max_size=6)
+    texts = st.text(alphabet=alphabet, min_size=1, max_size=6)
     drawn = draw(st.lists(texts, min_size=1, max_size=8))
     prefixes = [w[: draw(st.integers(1, len(w)))] for w in drawn[::2]]
     family = draw(st.permutations(drawn + prefixes + drawn[1::3]))
     return tuple(map(Word, family))
 
 
+def reference_value_classes(a, family, letters="xyz"):
+    """One evaluate call per word and assignment; ids in first-occurrence order."""
+    values = itertools.product(range(a.order), repeat=len(letters))
+    assigns = [dict(zip(letters, v)) for v in values]
+    ids = {}
+    return {
+        w: ids.setdefault(tuple(evaluate(a, w, asg) for asg in assigns), len(ids))
+        for w in family
+    }
+
+
 @settings(max_examples=300)
 @given(tables(1), word_families())
 def test_word_value_classes_match_reference_evaluator(table_dist, family):
     a = make_algebra(*table_dist)
-    assigns = [dict(zip("xyz", v)) for v in itertools.product(range(a.order), repeat=3)]
-    ids = {}
-    expected = {
-        w: ids.setdefault(tuple(evaluate(a, w, asg) for asg in assigns), len(ids))
-        for w in family
-    }
-    assert word_value_classes(a, family) == expected
+    assert word_value_classes(a, family) == reference_value_classes(a, family)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables(5, MAX_LANE_ORDER), word_families("xyO"))
+def test_packed_lanes_match_reference_up_to_the_order_bound(table_dist, family):
+    # two letters keep the reference at order 16 to 256 assignments a word
+    a = make_algebra(*table_dist)
+    assert word_value_classes(a, family, "xy") == reference_value_classes(a, family, "xy")
+
+
+def test_packed_lanes_at_order_sixteen_reach_the_top_lane_value():
+    rng = random.Random(16)
+    n = MAX_LANE_ORDER
+    rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    a = make_algebra(rows, rng.randrange(n))
+    # xx at x = 15 reads cell (15, 15) from lane value 15 * 16 + 15 = 255
+    family = tuple(
+        Word("".join(s)) for k in (1, 2, 3) for s in itertools.product("xyO", repeat=k)
+    )
+    assert word_value_classes(a, family, "xy") == reference_value_classes(a, family, "xy")
+
+
+def test_word_value_classes_without_letters():
+    a = builtin("M")
+    family = (Word("O"), Word("OO"), Word("OOO"))
+    assert word_value_classes(a, family, ()) == reference_value_classes(a, family, "")
+    # letter-free words among words with letters: one vector each, constant lanes
+    family += (Word("x"), Word("xO"), Word("Ox"))
+    assert word_value_classes(a, family) == reference_value_classes(a, family)
+
+
+def test_word_value_classes_refuse_orders_above_the_lane_bound():
+    n = MAX_LANE_ORDER + 1
+    a = make_algebra([[0] * n for _ in range(n)], 0)
+    with pytest.raises(ValueError, match=f"order {n} is above {MAX_LANE_ORDER}"):
+        word_value_classes(a, (Word("x"),))
 
 
 def reference_satisfies(a, ident):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import string
@@ -15,6 +16,7 @@ from varietylab.terms import (
     Var,
     Word,
     ZERO,
+    apply_substitution,
     contains_square,
     content,
     length,
@@ -25,6 +27,7 @@ from varietylab.terms import (
     parse_word,
     substitute,
     substitute_term,
+    substitution_table,
     term_letters,
 )
 
@@ -61,6 +64,32 @@ def test_word_constructor_rejects_bad_symbols():
         Word("")
     with pytest.raises(ValueError):
         Word("xA")
+
+
+def test_word_equality_and_hash_are_those_of_its_symbols():
+    first, second = "".join(["xy", "O"]), "".join(["x", "yO"])
+    assert first is not second
+    u, w = Word(first), Word(second)
+    assert u == w and not u != w
+    assert hash(u) == hash(w) == hash(first)
+    assert {u: 1}[w] == 1
+    assert u != Word("yxO")
+    # a Word is not its text, whichever side the comparison starts from
+    assert u != first and first != u and not u == first
+    assert "xyO" not in {u} and u not in {"xyO"}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u.symbols = "z"
+
+
+@pytest.mark.parametrize("measure", [content, los])
+def test_an_equal_distinct_word_hits_the_measure_cache(measure):
+    u = Word("".join(["qr", "sqO"]))
+    value = measure(u)
+    hits = measure.cache_info().hits
+    w = Word("".join(["q", "rsqO"]))
+    assert w.symbols is not u.symbols
+    assert measure(w) is value
+    assert measure.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("text, bad", [("xÄy", "Ä"), ("x y", " "), ("xA\tB", "A")])
@@ -163,12 +192,17 @@ def reference_substitute(w, mapping):
 
 
 @given(
-    st.text(alphabet="xyzwO", min_size=1, max_size=10).map(Word),
+    st.lists(st.text(alphabet="xyzwO", min_size=1, max_size=10).map(Word), min_size=1, max_size=3),
     st.dictionaries(st.sampled_from("xyzO"), words, max_size=4),
 )
-def test_substitute_matches_per_symbol_reference(w, mapping):
+def test_substitute_matches_per_symbol_reference(family, mapping):
     # mappings may name O, which stays fixed, and leave out letters, w among them
-    assert substitute(w, mapping) == reference_substitute(w, mapping)
+    table = substitution_table(mapping)
+    for w in family:
+        assert substitute(w, mapping) == reference_substitute(w, mapping)
+        # one table serves every word of the family, as it does both sides of an identity
+        assert apply_substitution(w, table) == reference_substitute(w, mapping)
+    assert table == substitution_table(mapping)
 
 
 @given(words, words, st.dictionaries(st.sampled_from("xyz"), words, max_size=3))
