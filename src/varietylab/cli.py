@@ -22,7 +22,7 @@ from .lattice import (
     neutral_elements,
 )
 from .models import AxiomViolationError, builtin, load_algebra, satisfies
-from .terms import Mode, ParseError, parse_identity, parse_word, normalize_is
+from .terms import Mode, parse_identity, parse_word, normalize_is
 from .varieties import variety_by_name
 
 
@@ -212,16 +212,10 @@ def main(argv=None) -> int:
     # jobs may precede or follow the subcommand; argparse handles the global flag
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LatticeError as exc:
+    except (LatticeError, AxiomViolationError) as exc:  # before their base ValueError
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except AxiomViolationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -226,35 +226,21 @@ def build_lattice() -> FiniteLattice:
 
 
 def find_n5(lat: FiniteLattice):
-    """First pentagon sublattice in deterministic order, or None."""
-    n = len(lat.elements)
-    leq = [[lat._up[i] >> j & 1 for j in range(n)] for i in range(n)]
-    e = lat.elements
-    for combo in itertools.combinations(range(n), 5):
-        bottoms = [x for x in combo if all(leq[x][y] for y in combo)]
-        tops = [x for x in combo if all(leq[y][x] for y in combo)]
-        if len(bottoms) != 1 or len(tops) != 1:
-            continue
-        o, i = bottoms[0], tops[0]
-        rest = [x for x in combo if x not in (o, i)]
-        for b in rest:
-            p, q = (x for x in rest if x != b)
-            if leq[p][q]:
-                lo, hi = p, q
-            elif leq[q][p]:
-                lo, hi = q, p
-            else:
-                continue
-            if leq[b][lo] or leq[lo][b] or leq[b][hi] or leq[hi][b]:
-                continue
-            if (
-                lat.join(e[lo], e[b]) == e[i]
-                and lat.join(e[hi], e[b]) == e[i]
-                and lat.meet(e[lo], e[b]) == e[o]
-                and lat.meet(e[hi], e[b]) == e[o]
-            ):
-                return N5(e[o], e[lo], e[b], e[hi], e[i])
-    return None
+    """The pentagon sublattice whose sorted element indices come first, or None.
+
+    By Dedekind's criterion, a < c and b with a v b = c v b and a ^ b = c ^ b
+    span the pentagon a ^ b < a < c < a v b, with b off that chain.  A 5-set
+    spans at most one pentagon, so ties in the sort key cannot occur.
+    """
+    join, meet, idx = lat._join, lat._meet, range(len(lat))
+    found = [
+        (meet[a][b], a, b, c, join[a][b])
+        for a, c in itertools.permutations(idx, 2)
+        if lat._up[a] >> c & 1
+        for b in idx
+        if join[a][b] == join[c][b] and meet[a][b] == meet[c][b]
+    ]
+    return N5(*(lat.elements[k] for k in min(found, key=sorted))) if found else None
 
 
 def is_distributive(lat: FiniteLattice):
@@ -276,23 +262,15 @@ def is_zero_distributive(lat: FiniteLattice):
 
 
 def neutral_elements(lat: FiniteLattice) -> frozenset:
-    """Elements generating a distributive sublattice with every pair, via the
-    median equation plus join- and meet-distributivity of the element."""
-    out = []
-    for x in lat.elements:
-        ok = True
-        for y, z in itertools.product(lat.elements, repeat=2):
-            median_meet = lat.join(lat.join(lat.meet(x, y), lat.meet(y, z)), lat.meet(z, x))
-            median_join = lat.meet(lat.meet(lat.join(x, y), lat.join(y, z)), lat.join(z, x))
-            if median_meet != median_join:
-                ok = False
-                break
-            if lat.meet(x, lat.join(y, z)) != lat.join(lat.meet(x, y), lat.meet(x, z)):
-                ok = False
-                break
-            if lat.join(x, lat.meet(y, z)) != lat.meet(lat.join(x, y), lat.join(x, z)):
-                ok = False
-                break
-        if ok:
-            out.append(x)
-    return frozenset(out)
+    """Elements x with (x^y)v(y^z)v(z^x) = (xvy)^(yvz)^(zvx) for all y, z; the
+    median identity alone characterises neutrality (Grätzer, General Lattice
+    Theory, §III.2)."""
+    j, m, idx = lat._join, lat._meet, range(len(lat))
+    return frozenset(
+        lat.elements[x]
+        for x in idx
+        if all(
+            j[j[m[x][y]][m[y][z]]][m[z][x]] == m[m[j[x][y]][j[y][z]]][j[z][x]]
+            for y, z in itertools.product(idx, repeat=2)
+        )
+    )

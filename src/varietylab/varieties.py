@@ -237,11 +237,11 @@ def variety_of(a: models.FiniteAlgebra) -> Variety:
 
 
 @lru_cache(maxsize=None)
-def exhaustive_identity_words(letters: tuple = ("x", "y", "z"), max_length: int = 4) -> tuple:
-    """All words over the letters plus O, up to the length bound, in a fixed
+def exhaustive_identity_words(max_length: int = 4) -> tuple:
+    """All words over x, y, z and O, up to the length bound, in a fixed
     deterministic order.  The default bound yields 340 words, hence 115600
     ordered identity pairs."""
-    alphabet = tuple(letters) + (OMEGA,)
+    alphabet = ("x", "y", "z", OMEGA)
     out = []
     for k in range(1, max_length + 1):
         for combo in itertools.product(alphabet, repeat=k):

@@ -95,12 +95,22 @@ def test_variety_of_rejects_non_semigroup(capsys):
     assert code == 1 and "verification failure" in err
 
 
+LATTICE_REPORT = (
+    "elements=16 covers=25 modular=false\n"
+    "distributive=false\n"
+    "zero-distributive=true\n"
+    "atoms=SL,ZM\n"
+    "neutral=B+K,IS,SL,SL+ZM,T,ZM\n"
+    "pentagon=o:T a:K b:B c:L i:B+K\n"
+)
+
+
 def test_lattice_report(capsys, tmp_path):
+    code, out, _ = run(capsys, ["lattice"])
+    assert code == 0 and out == LATTICE_REPORT
     dot = tmp_path / "hasse.dot"
     code, out, _ = run(capsys, ["lattice", "--dot", str(dot)])
-    assert code == 0
-    assert "elements=16 covers=25 modular=false" in out
-    assert "atoms=SL,ZM" in out
+    assert code == 0 and out == LATTICE_REPORT + f"dot={dot}\n"
     text = dot.read_text(encoding="utf-8")
     assert text.count("->") == 25 and '"SL+N" -> "IS";' in text
     # a directory as the dot path: a usage error, and no half-printed report

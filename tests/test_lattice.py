@@ -1,10 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varietylab import models, varieties
 from varietylab.lattice import (
     EXPECTED_COVERS,
+    N5,
     FiniteLattice,
     LatticeError,
     build_lattice,
@@ -91,6 +93,110 @@ def test_find_n5_absent_in_modular_parts(lat):
     assert find_n5(lat.down_set(Variety.N)) is None
 
 
+def reference_find_n5(lat):
+    """The former find_n5: every 5-subset in index order, tested for a
+    pentagon sublattice."""
+    n = len(lat.elements)
+    leq = [[lat._up[i] >> j & 1 for j in range(n)] for i in range(n)]
+    e = lat.elements
+    for combo in itertools.combinations(range(n), 5):
+        bottoms = [x for x in combo if all(leq[x][y] for y in combo)]
+        tops = [x for x in combo if all(leq[y][x] for y in combo)]
+        if len(bottoms) != 1 or len(tops) != 1:
+            continue
+        o, i = bottoms[0], tops[0]
+        rest = [x for x in combo if x not in (o, i)]
+        for b in rest:
+            p, q = (x for x in rest if x != b)
+            if leq[p][q]:
+                lo, hi = p, q
+            elif leq[q][p]:
+                lo, hi = q, p
+            else:
+                continue
+            if leq[b][lo] or leq[lo][b] or leq[b][hi] or leq[hi][b]:
+                continue
+            if (
+                lat.join(e[lo], e[b]) == e[i]
+                and lat.join(e[hi], e[b]) == e[i]
+                and lat.meet(e[lo], e[b]) == e[o]
+                and lat.meet(e[hi], e[b]) == e[o]
+            ):
+                return N5(e[o], e[lo], e[b], e[hi], e[i])
+    return None
+
+
+def reference_neutral_elements(lat):
+    """The former neutral_elements: the median equation plus join- and
+    meet-distributivity of the element."""
+    out = []
+    for x in lat.elements:
+        ok = True
+        for y, z in itertools.product(lat.elements, repeat=2):
+            median_meet = lat.join(lat.join(lat.meet(x, y), lat.meet(y, z)), lat.meet(z, x))
+            median_join = lat.meet(lat.meet(lat.join(x, y), lat.join(y, z)), lat.join(z, x))
+            if median_meet != median_join:
+                ok = False
+                break
+            if lat.meet(x, lat.join(y, z)) != lat.join(lat.meet(x, y), lat.meet(x, z)):
+                ok = False
+                break
+            if lat.join(x, lat.meet(y, z)) != lat.meet(lat.join(x, y), lat.join(x, z)):
+                ok = False
+                break
+        if ok:
+            out.append(x)
+    return frozenset(out)
+
+
+PENTAGON = FiniteLattice.from_cover_pairs(
+    "oacbi", (("o", "a"), ("a", "c"), ("c", "i"), ("o", "b"), ("b", "i"))
+)
+M3 = FiniteLattice.from_cover_pairs(
+    "oabci", (("o", "a"), ("o", "b"), ("o", "c"), ("a", "i"), ("b", "i"), ("c", "i"))
+)
+CHAIN = FiniteLattice.from_cover_pairs("0123", (("0", "1"), ("1", "2"), ("2", "3")))
+
+
+def test_pinned_pentagon_and_neutral_elements(lat):
+    assert find_n5(lat) == N5(Variety.T, Variety.K, Variety.B, Variety.L, Variety.B_K)
+    assert sorted(map(str, neutral_elements(lat))) == ["B+K", "IS", "SL", "SL+ZM", "T", "ZM"]
+    assert find_n5(PENTAGON) == N5("o", "a", "b", "c", "i")
+    assert find_n5(M3) is None and neutral_elements(M3) == {"o", "i"}
+    assert find_n5(CHAIN) is None and neutral_elements(CHAIN) == set(CHAIN.elements)
+
+
+def test_criteria_agree_with_reference_on_known_lattices(lat):
+    lattices = [lat.down_set(v) for v in lat.elements] + [PENTAGON, M3, CHAIN]
+    for sub in lattices:
+        assert find_n5(sub) == reference_find_n5(sub)
+        assert neutral_elements(sub) == reference_neutral_elements(sub)
+
+
+@st.composite
+def closure_systems(draw):
+    """A family of subsets of at most 5 points (bitmasks), closed under
+    intersection, with the full set added, in a drawn element order: a
+    lattice under inclusion that need not embed in the subvariety lattice."""
+    points = draw(st.integers(1, 5))
+    full = (1 << points) - 1
+    family = {full} | draw(st.sets(st.integers(0, full), max_size=8))
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    elements = draw(st.permutations(sorted(family)))
+    return FiniteLattice(elements, [[a & ~b == 0 for b in elements] for a in elements])
+
+
+@settings(max_examples=300, deadline=None)
+@given(closure_systems())
+def test_criteria_agree_with_reference_on_random_lattices(sub):
+    assert find_n5(sub) == reference_find_n5(sub)
+    assert neutral_elements(sub) == reference_neutral_elements(sub)
+
+
 def test_distributivity(lat):
     ok, witness = is_distributive(lat)
     assert not ok and witness is not None
@@ -101,11 +207,8 @@ def test_distributivity(lat):
 
 def test_zero_distributivity(lat):
     assert is_zero_distributive(lat)[0]
-    pentagon = FiniteLattice.from_cover_pairs(
-        "oacbi", (("o", "a"), ("a", "c"), ("c", "i"), ("o", "b"), ("b", "i"))
-    )
-    assert find_n5(pentagon) is not None
-    assert is_zero_distributive(pentagon)[0]
+    assert find_n5(PENTAGON) is not None
+    assert is_zero_distributive(PENTAGON)[0]
     two = FiniteLattice.from_cover_pairs(("bot", "top"), (("bot", "top"),))
     assert is_zero_distributive(two)[0]
 
