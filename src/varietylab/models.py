@@ -10,8 +10,8 @@ once into a register program and run the program over all assignments.
 Register 0 holds the constant and registers 1..k the identity's sorted
 letters; each step (out, a, b) sets register out to
 ``table[regs[a]][regs[b]]``.  A word compiles as a left fold and a tree term
-by a post-order walk, and equal subterms share one step.  A step's level is
-the last letter it reads, 0 for none, and the run nests one loop per letter:
+by a post-order walk, one step per product.  A step's level is the last
+letter it reads, 0 for none, and the run nests one loop per letter:
 the loop of letter j runs only the steps of level j, so a step is redone
 only when a letter it reads changes.  ``check_axioms`` compiles the axiom
 texts of ``terms.AXIOM_TEXTS`` once per mode.
@@ -169,15 +169,12 @@ def _compile(ident: Identity, letters: tuple) -> tuple:
     register = {letter: r for r, letter in enumerate(letters, 1)}
     level = list(range(len(letters) + 1))  # of each register
     levels = [[] for _ in level]
-    shared = {}
 
     def step(a, b):
-        out = shared.get((a, b))
-        if out is None:
-            out = shared[a, b] = len(level)
-            j = level[a] if level[a] > level[b] else level[b]
-            level.append(j)
-            levels[j].append((out, a, b))
+        out = len(level)
+        j = level[a] if level[a] > level[b] else level[b]
+        level.append(j)
+        levels[j].append((out, a, b))
         return out
 
     def word(w):

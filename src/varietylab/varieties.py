@@ -3,10 +3,13 @@
 Each variety is one row of ``_TABLE``: its join components, its generators
 and the texts of its basis.  Every variety is a join of up to three of the
 seven basic ones, SL, B, ZM, K, L, M and N, which are Variety members and
-their own sole components.  Each basic variety has a normal-form word key
-built from content, last-occurrence sequence, length and square
-containment.  An identity holds in a variety iff its two sides have the same
-tuple of component keys."""
+their own sole components.  Each basic variety has a normal-form word key:
+SL's is the content, B's the last-occurrence sequence, and the five nil keys
+follow one vanishing rule.  An identity holds in a variety iff its two sides
+have the same tuple of component keys.  Each key is a congruence: key(u) =
+key(u') implies key(ua) = key(u'a) and key(au) = key(au') for every symbol
+a.  An induction on word length, which carries a check of the keys on short
+words over to all words, needs the right half."""
 
 from __future__ import annotations
 
@@ -21,9 +24,7 @@ from .terms import (
     Mode,
     OMEGA,
     Word,
-    contains_square,
     content,
-    length,
     los,
     parse_identity,
 )
@@ -128,36 +129,36 @@ def variety_by_name(name: str) -> Variety:
 # Decision procedure
 
 
-def _square_or_long(w: Word) -> bool:
-    return contains_square(w) or length(w) >= 3
+def _vanishing(limit: int, commutative: bool = False, squares: bool = False):
+    """The key of a nil variety.  A word gets None, the class of O, if it
+    holds O, if it has limit or more letters, or, when squares vanish, if it
+    is aa: below three letters, aa is the only square.  Any other word gets
+    its letters, sorted when the variety is commutative."""
 
+    def vanishing_key(w: Word):
+        s = w.symbols
+        if OMEGA in s or len(s) >= limit or (squares and len(s) == 2 and s[0] == s[1]):
+            return None
+        return "".join(sorted(s)) if commutative else s
 
-def _short(w: Word, vanishes: bool, commutative: bool):
-    # None is the class of the words long enough to vanish; the rest are O-free
-    if vanishes:
-        return None
-    return "".join(sorted(w.symbols)) if commutative else w.symbols
+    return vanishing_key
 
 
 _COMPONENT_KEYS = {
     Variety.SL: content,
     Variety.B: los,
-    Variety.ZM: lambda w: _short(w, length(w) >= 2, False),
-    Variety.K: lambda w: _short(w, _square_or_long(w), True),
-    Variety.L: lambda w: _short(w, _square_or_long(w), False),
-    Variety.M: lambda w: _short(w, length(w) >= 3, True),
-    Variety.N: lambda w: _short(w, length(w) >= 3, False),
+    Variety.ZM: _vanishing(2),
+    Variety.K: _vanishing(3, commutative=True, squares=True),
+    Variety.L: _vanishing(3, squares=True),
+    Variety.M: _vanishing(3, commutative=True),
+    Variety.N: _vanishing(3),
 }
-
-
-# variety -> its join components, as record(v).join_components has them
-_JOIN_COMPONENTS = {v: components for v, (components, _, _) in _TABLE.items()}
 
 
 def key(v: Variety, w: Word) -> tuple:
     """Normal-form key of w in v: u = w holds in v iff key(v, u) == key(v, w)."""
     # _COMPONENT_KEYS is read on every call, so a key patched there is seen
-    return tuple([_COMPONENT_KEYS[c](w) for c in _JOIN_COMPONENTS[v]])
+    return tuple([_COMPONENT_KEYS[c](w) for c in _TABLE[v][0]])
 
 
 def decide(v: Variety, ident) -> bool:

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from varietylab import cli
+from varietylab import cli, verify
 from varietylab.derivations import render_script, shipped_scripts
 from varietylab.models import builtin, render_algebra
 
@@ -197,6 +197,22 @@ def test_verify_paper_stdout_is_pinned(capsys, monkeypatch, jobs):
     code, out, _ = run(capsys, ["--jobs", jobs, "verify-paper"])
     assert code == 0
     assert out == expected.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed", ["abc", "1e3"])
+def test_verify_paper_names_a_seed_that_is_no_integer(capsys, monkeypatch, seed):
+    monkeypatch.setenv("VARIETYLAB_SEED", seed)
+    code, out, err = run(capsys, ["verify-paper"])
+    assert code == 2 and out == ""
+    assert err == f"error: VARIETYLAB_SEED must be an integer, not {seed!r}\n"
+
+
+@pytest.mark.parametrize("seed, expected", [("", verify.DEFAULT_SEED), (" 7 ", 7), ("-3", -3)])
+def test_seed_from_env_reads_integers_and_defaults_when_empty(monkeypatch, seed, expected):
+    monkeypatch.setenv("VARIETYLAB_SEED", seed)
+    assert verify.seed_from_env() == expected
+    monkeypatch.delenv("VARIETYLAB_SEED")
+    assert verify.seed_from_env() == verify.DEFAULT_SEED
 
 
 def test_parse_errors_name_their_line(capsys, tmp_path):

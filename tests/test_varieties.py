@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varietylab import models, verify
-from varietylab.terms import Identity, Mode, los, normalize_is, parse_identity
+from varietylab.terms import (
+    Identity,
+    Mode,
+    Word,
+    contains_square,
+    length,
+    los,
+    normalize_is,
+    parse_identity,
+)
 from varietylab.varieties import (
     _COMPONENT_KEYS,
     Variety,
@@ -233,6 +242,71 @@ def test_keys_match_generators_up_to_length_six():
     for v, classes in _generator_oracles(words).items():
         got = compare_partitions(words, lambda w: key(v, w), classes)
         assert got == (0, 0, None), v
+
+
+# The nil keys as first written, from the word measures length and
+# contains_square: the reference for the one vanishing rule that replaced them
+
+
+def _square_or_long(w):
+    return contains_square(w) or length(w) >= 3
+
+
+def _short(w, vanishes, commutative):
+    if vanishes:
+        return None
+    return "".join(sorted(w.symbols)) if commutative else w.symbols
+
+
+_REFERENCE_NIL_KEYS = {
+    Variety.ZM: lambda w: _short(w, length(w) >= 2, False),
+    Variety.K: lambda w: _short(w, _square_or_long(w), True),
+    Variety.L: lambda w: _short(w, _square_or_long(w), False),
+    Variety.M: lambda w: _short(w, length(w) >= 3, True),
+    Variety.N: lambda w: _short(w, length(w) >= 3, False),
+}
+
+
+def test_nil_keys_match_the_reference_up_to_length_six():
+    words = exhaustive_identity_words(max_length=6)
+    assert len(words) == 5460
+    for v, reference in _REFERENCE_NIL_KEYS.items():
+        assert [_COMPONENT_KEYS[v](w) for w in words] == list(map(reference, words)), v
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="wxyzO", min_size=1, max_size=10))
+def test_nil_keys_match_the_reference_on_any_word(symbols):
+    w = Word(symbols)
+    for v, reference in _REFERENCE_NIL_KEYS.items():
+        assert _COMPONENT_KEYS[v](w) == reference(w), v
+
+
+def _first_incompatibility(v, words):
+    """The first (u, w, a) where key(v, .) identifies u and w but not u + a
+    and w + a, or not a + u and a + w; None when key(v, .) is a congruence
+    on these words and their one-symbol extensions."""
+    first = {}
+    for w in words:
+        u = first.setdefault(key(v, w), w)
+        for a in map(Word, "xyzO"):
+            if key(v, u + a) != key(v, w + a) or key(v, a + u) != key(v, a + w):
+                return u, w, a
+    return None
+
+
+def test_keys_are_compatible_with_multiplication():
+    words = exhaustive_identity_words()
+    for v in Variety:
+        assert _first_incompatibility(v, words) is None, v
+
+
+def test_compatibility_catches_a_key_that_is_no_congruence(monkeypatch):
+    # x and y agree on having no square, but xx and yx do not
+    monkeypatch.setitem(_COMPONENT_KEYS, Variety.SL, lambda w: contains_square(w))
+    assert _first_incompatibility(Variety.SL, exhaustive_identity_words()) == (
+        Word("x"), Word("y"), Word("x")
+    )
 
 
 def test_check_06_counts_a_planted_fault(monkeypatch):
