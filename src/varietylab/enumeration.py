@@ -353,14 +353,14 @@ def classify(report: EnumerationReport) -> dict:
     if report.mode is not Mode.IS:
         raise ValueError("classification applies to associative mode only")
     words = varieties.exhaustive_identity_words()
-    keys: dict = {}  # variety -> word -> key, built when the variety first occurs
+    # variety -> dense ids of its keys, built when the variety first occurs;
+    # word_value_classes numbers classes by first occurrence too
+    ids: dict = {}
     for a, v in zip(report.algebras, report.varieties):
-        if v not in keys:
-            keys[v] = {w: varieties.key(v, w) for w in words}
+        if v not in ids:
+            ids[v] = varieties.dense_ids(varieties.key(v, w) for w in words)
         class_of = word_value_classes(a, words)
-        _, _, pair = varieties.compare_partitions(
-            words, class_of.__getitem__, keys[v].__getitem__
-        )
+        _, _, pair = varieties.compare_ids(words, [class_of[w] for w in words], ids[v])
         if pair is not None:
             raise AssertionError(
                 f"algebra satisfies a different identity set than {v}: {pair[0]} = {pair[1]}"

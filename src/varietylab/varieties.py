@@ -175,24 +175,44 @@ def compare_partitions(words, key_a, key_b):
 
     Returns (only_a, only_b, pair): how many ordered pairs are equal under
     key_a but not key_b and the reverse, by sums of squared block sizes, and
-    one such pair (of the first kind if any), or None if the keys agree."""
-    keys = [(key_a(w), key_b(w)) for w in words]
-    meet = _sum_squares(keys)
-    only_a = _sum_squares(ka for ka, _ in keys) - meet
-    only_b = _sum_squares(kb for _, kb in keys) - meet
-    return only_a, only_b, _split(words, keys, 0) or _split(words, keys, 1)
+    one such pair (of the first kind if any), or None if the keys agree.
+    Each key is read once per word and stands as its dense id, numbered in
+    order of first occurrence (`dense_ids`), so equal partitions are equal
+    id lists and the comparison ends there (`compare_ids`)."""
+    return compare_ids(words, dense_ids(map(key_a, words)), dense_ids(map(key_b, words)))
+
+
+def dense_ids(labels) -> list:
+    """Each label as its dense id: the distinct labels are numbered 0, 1, 2, ...
+    in order of first occurrence, so two label lists draw the same partition
+    iff their dense ids are equal."""
+    index = {}
+    return [index.setdefault(k, len(index)) for k in labels]
+
+
+def compare_ids(words, a, b):
+    """`compare_partitions` on the labels a and b of words, one per word, as
+    lists.  Equal lists end the comparison; `dense_ids` makes every two
+    lists that draw the same partition equal."""
+    if a == b:
+        return 0, 0, None
+    pairs = list(zip(a, b))
+    meet = _sum_squares(pairs)
+    only_a = _sum_squares(a) - meet
+    only_b = _sum_squares(b) - meet
+    return only_a, only_b, _split(words, pairs, 0) or _split(words, pairs, 1)
 
 
 def _sum_squares(labels) -> int:
     return sum(n * n for n in Counter(labels).values())
 
 
-def _split(words, keys, side):
-    # the first two words that agree on keys[side] but not on the other key
+def _split(words, pairs, side):
+    # the first two words that agree on pairs[side] but not on the other label
     first = {}
-    for w, k in zip(words, keys):
-        u, ku = first.setdefault(k[side], (w, k))
-        if ku != k:
+    for w, p in zip(words, pairs):
+        u, pu = first.setdefault(p[side], (w, p))
+        if pu != p:
             return u, w
     return None
 

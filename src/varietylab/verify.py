@@ -5,8 +5,10 @@ package is built around, each inside its stated time budget; after them come
 exhaustive or randomized invariant sweeps and the battery of documented
 examples.  Sweeps of the bounded identity space compare partitions of its
 340 words (normal-form keys against the generators' value classes) instead
-of visiting its 115,600 pairs.  Output is free of timings so repeated runs
-are byte-identical.
+of visiting its 115,600 pairs.  A partition is a list of dense ids, one per
+word, numbered in order of first occurrence, so two partitions are equal iff
+their lists are, and equal lists end the comparison.  Output is free of
+timings so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .terms import (
     parse_identity,
     parse_term,
     substitute,
-    substitution_table,
 )
 from .varieties import Variety, decide, exhaustive_identity_words, record
 
@@ -371,16 +372,14 @@ NUMBERED_CHECKS = (
 
 def invariant_monotonicity() -> CheckResult:
     words = exhaustive_identity_words()
-    keys = {v: {w: varieties.key(v, w) for w in words} for v in Variety}
+    ids = {v: varieties.dense_ids(varieties.key(v, w) for w in words) for v in Variety}
     violations = 0
     first = None
     for v, x in itertools.product(Variety, repeat=2):
         if v is x or not varieties.generator_leq(v, x):
             continue
         # v <= x: whatever holds in x must hold in v
-        lost, _, pair = varieties.compare_partitions(
-            words, keys[x].__getitem__, keys[v].__getitem__
-        )
+        lost, _, pair = varieties.compare_ids(words, ids[x], ids[v])
         violations += lost
         if first is None and lost:
             first = f"{v} <= {x}: {pair[0]} = {pair[1]}"
@@ -401,19 +400,21 @@ def invariant_substitution_closure(seed: int, samples: int = 1000) -> CheckResul
     identity must hold in V by `decide`.  Images of u and w reach length 9.
 
     Each variety's draw is two `rng.choices` calls: its pairs, then its
-    3 * samples letter images."""
+    3 * samples letter images, drawn unweighted from `_images_by_weight`."""
     rng = random.Random(seed)
     words = exhaustive_identity_words(max_length=3)
     # the images are these same 84 words, drawn by their probability
-    cum_weights = list(itertools.accumulate(_image_weights(words)))
+    images_by_weight = _images_by_weight(words)
+    letters = tuple(map(ord, "xyz"))
     failures = 0
     first = None
     for v in Variety:
         pairs = rng.choices(_holding_pairs(v, words), k=samples)
-        images = iter(rng.choices(words, cum_weights=cum_weights, k=3 * samples))
+        images = iter(rng.choices(images_by_weight, k=3 * samples))
         # one iterator zipped thrice: the images of x, y, z, three at a time
         for (u, w), triple in zip(pairs, zip(images, images, images)):
-            table = substitution_table(dict(zip("xyz", triple)))
+            # the substitution_table of x, y, z -> triple
+            table = dict(zip(letters, triple))
             image = Identity(apply_substitution(u, table), apply_substitution(w, table), Mode.IS)
             if not decide(v, image):
                 failures += 1
@@ -440,16 +441,33 @@ def _image_weights(images) -> list:
     return [4 ** (3 - len(w)) for w in images]
 
 
+def _images_by_weight(images) -> list:
+    """The symbols of each image word, repeated by its `_image_weights`
+    weight: 192 entries for the 84 words of length <= 3.  An unweighted draw from them reads the same
+    `random()` values and picks the same words as a draw from the images by
+    those weights, since floor(r * 192) falls in a word's run of entries iff
+    r * 192 falls in its interval of the cumulative weights."""
+    return [
+        w.symbols
+        for w, weight in zip(images, _image_weights(images))
+        for _ in range(weight)
+    ]
+
+
 def invariant_product_law(seed: int) -> CheckResult:
     samples = 300
     rng = random.Random(seed)
     words = exhaustive_identity_words(max_length=3)
+    products = {}  # ordered pair of names -> their direct product
     failures = 0
     for _ in range(samples):
-        a, b = builtin(rng.choice(_IS_BUILTINS)), builtin(rng.choice(_IS_BUILTINS))
+        names = rng.choice(_IS_BUILTINS), rng.choice(_IS_BUILTINS)
+        a, b = map(builtin, names)
         ident = Identity(rng.choice(words), rng.choice(words), Mode.IS)
         both = satisfies(a, ident).holds and satisfies(b, ident).holds
-        if satisfies(models.direct_product(a, b), ident).holds != both:
+        if names not in products:
+            products[names] = models.direct_product(a, b)
+        if satisfies(products[names], ident).holds != both:
             failures += 1
     return CheckResult(
         "product-satisfaction-law", failures == 0, f"samples={samples} failures={failures}"

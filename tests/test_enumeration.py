@@ -270,6 +270,17 @@ def test_report_is_built_once_and_frozen(monkeypatch):
     assert histogram == "B:4 B+ZM:2 K:1 L:1 M:4 N:3 SL:2 SL+M:2 SL+ZM:6 ZM:1"
 
 
+@pytest.mark.parametrize("order, counts", [(1, (1, 1)), (2, (2, 3)), (3, (6, 17)), (4, (26, 249))])
+def test_associative_census_is_the_tree_mode_census_cut_by_the_is_axioms(order, counts):
+    # the same tables checked by the other mode's axioms: two searches, one answer
+    associative = enumerate_algebras(order, Mode.IS).algebras
+    tree = enumerate_algebras(order, Mode.IZ).algebras
+    assert (len(associative), len(tree)) == counts
+    assert {canonical_form(a) for a in associative} == {
+        canonical_form(a) for a in tree if check_axioms(a, Mode.IS).passed
+    }
+
+
 def test_classify_small_orders():
     assert classify(enumerate_algebras(1, Mode.IS)) == {Variety.T: 1}
     counts = classify(enumerate_algebras(2, Mode.IS))

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -20,8 +21,10 @@ from varietylab.terms import (
 from varietylab.varieties import (
     _COMPONENT_KEYS,
     Variety,
+    compare_ids,
     compare_partitions,
     decide,
+    dense_ids,
     exhaustive_identity_words,
     generator_leq,
     key,
@@ -128,6 +131,17 @@ def test_substitution_images_have_their_stated_probabilities():
     assert sum(probabilities) == 1
 
 
+def test_unweighted_draw_over_images_by_weight_is_the_weighted_draw():
+    images = exhaustive_identity_words(max_length=3)
+    by_weight = verify._images_by_weight(images)
+    assert len(by_weight) == sum(verify._image_weights(images)) == 192
+    cum_weights = list(itertools.accumulate(verify._image_weights(images)))
+    for seed in range(200):
+        weighted = random.Random(seed).choices(images, cum_weights=cum_weights, k=300)
+        unweighted = random.Random(seed).choices(by_weight, k=300)
+        assert [w.symbols for w in weighted] == unweighted, seed
+
+
 def test_holding_pairs_are_the_ordered_pairs_each_variety_identifies():
     words = exhaustive_identity_words(max_length=3)
     for v in Variety:
@@ -224,6 +238,60 @@ def test_compare_partitions_matches_pairwise_count(labels):
         u, w = pair
         assert (key_a(u) == key_a(w)) != (key_b(u) == key_b(w))
         assert key_a(u) == key_a(w) or not only_a
+
+
+# compare_partitions as first written, a Counter over the key pairs
+# themselves: the reference for the comparison of dense ids
+
+
+def _reference_compare_partitions(words, key_a, key_b):
+    keys = [(key_a(w), key_b(w)) for w in words]
+    meet = _reference_sum_squares(keys)
+    only_a = _reference_sum_squares(ka for ka, _ in keys) - meet
+    only_b = _reference_sum_squares(kb for _, kb in keys) - meet
+    return only_a, only_b, _reference_split(words, keys, 0) or _reference_split(words, keys, 1)
+
+
+def _reference_sum_squares(labels):
+    return sum(n * n for n in Counter(labels).values())
+
+
+def _reference_split(words, keys, side):
+    first = {}
+    for w, k in zip(words, keys):
+        u, ku = first.setdefault(k[side], (w, k))
+        if ku != k:
+            return u, w
+    return None
+
+
+# few distinct values of each kind, so that labels often collide
+_KEY_ATOMS = st.one_of(
+    st.none(),
+    st.sampled_from(["", "x", "xy"]),
+    st.frozensets(st.sampled_from("xy"), max_size=2),
+    st.sampled_from([Word("x"), Word("xy"), Word("yx")]),
+)
+_KEYS = st.one_of(_KEY_ATOMS, st.tuples(_KEY_ATOMS), st.tuples(_KEY_ATOMS, _KEY_ATOMS))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_KEYS, _KEYS), max_size=14))
+def test_compare_partitions_matches_the_reference_exactly(labels):
+    words = [Word("x" * (i + 1)) for i in range(len(labels))]
+    by_word = dict(zip(words, labels))
+    key_a, key_b = (lambda w: by_word[w][0]), (lambda w: by_word[w][1])
+    # the same counts and the same witness pair, not just a valid one
+    assert compare_partitions(words, key_a, key_b) == _reference_compare_partitions(
+        words, key_a, key_b
+    )
+
+
+def test_dense_ids_number_labels_by_first_occurrence():
+    assert dense_ids(["b", None, "b", ("a",), None]) == [0, 1, 0, 2, 1]
+    # the same partition under other labels: equal ids, so nothing to split
+    assert compare_ids("pqrst", dense_ids("xyxzy"), dense_ids([7, 3, 7, 0, 3])) == (0, 0, None)
+    assert compare_ids("pqr", [0, 0, 1], [0, 1, 1]) == (2, 2, ("p", "q"))
 
 
 def _generator_oracles(words):
@@ -324,6 +392,7 @@ def test_check_06_counts_a_planted_fault(monkeypatch):
     assert expected == 12
     res = verify.check_06_decision_oracle_equivalence()
     assert not res.passed
+    assert res.detail == "pairs=115600 varieties=16 discrepancies=12 first=M: xy = yx"
     found = re.search(r"discrepancies=(\d+) first=(\S+): (\S+) = (\S+)$", res.detail)
     assert int(found.group(1)) == expected
     v, u, w = Variety(found.group(2)), found.group(3), found.group(4)
@@ -337,6 +406,7 @@ def test_order_monotonicity_catches_a_planted_fault(monkeypatch):
     monkeypatch.setitem(_COMPONENT_KEYS, Variety.K, _COMPONENT_KEYS[Variety.L])
     res = verify.invariant_monotonicity()
     assert not res.passed
+    assert res.detail == "violations=18 first=K <= M: xy = yx"
     found = re.search(r"violations=(\d+) first=(\S+) <= (\S+): (\S+) = (\S+)$", res.detail)
     assert int(found.group(1)) > 0
     below, above = Variety(found.group(2)), Variety(found.group(3))
@@ -351,7 +421,7 @@ def test_classification_coincidence_catches_a_planted_fault(monkeypatch):
     monkeypatch.setitem(_COMPONENT_KEYS, Variety.K, _COMPONENT_KEYS[Variety.L])
     res = verify.invariant_classification_coincidence()
     assert not res.passed
-    assert res.detail.startswith("algebra satisfies a different identity set than K: ")
+    assert res.detail == "algebra satisfies a different identity set than K: xy = yx"
 
 
 def test_substitution_closure_catches_a_planted_fault(monkeypatch):
@@ -359,6 +429,8 @@ def test_substitution_closure_catches_a_planted_fault(monkeypatch):
     monkeypatch.setitem(_COMPONENT_KEYS, Variety.SL, lambda w: len(str(w)))
     res = verify.invariant_substitution_closure(seed=3, samples=50)
     assert not res.passed
+    # pins the sample: a seed must keep drawing the same pairs and images
+    assert res.detail == "samples=50/variety failures=200 first=SL: zzy = Oyy -> yOyOy = Oyy"
     found = re.search(r"failures=(\d+) first=(\S+): (.+ = .+) -> (.+ = .+)$", res.detail)
     assert int(found.group(1)) > 0
     v = Variety(found.group(2))
@@ -373,9 +445,41 @@ def test_substitution_closure_catches_a_fault_only_long_words_reveal(monkeypatch
     monkeypatch.setitem(_COMPONENT_KEYS, Variety.B, lambda w: (los(w), len(w) >= 7))
     res = verify.invariant_substitution_closure(seed=verify.DEFAULT_SEED)
     assert not res.passed
+    assert res.detail == (
+        "samples=1000/variety failures=739 first=B: Ozx = zxx -> OzyzOx = zyzOxOx"
+    )
     found = re.search(r"failures=(\d+) first=(\S+): (.+ = .+) -> (.+) = (.+)$", res.detail)
     assert int(found.group(1)) > 0
     v = Variety(found.group(2))
     assert decide(v, parse_identity(found.group(3)))
     assert not decide(v, parse_identity(f"{found.group(4)} = {found.group(5)}"))
     assert max(len(found.group(4)), len(found.group(5))) >= 7
+
+
+# Bases: which identities are redundant
+
+
+def _top(basis):
+    """The largest variety in which every identity of the basis holds."""
+    holding = [v for v in Variety if all(decide(v, i) for i in basis)]
+    (top,) = [v for v in holding if all(generator_leq(w, v) for w in holding)]
+    return top
+
+
+def test_each_basis_defines_its_own_row():
+    for v in Variety:
+        assert _top(record(v).basis) is v, v
+
+
+def test_xyz_is_O_is_the_only_redundant_basis_identity():
+    # in every variety of the sixteen where xx = O holds, xyz = O holds too,
+    # so K and L need not list it.  The rows keep it: `separation` reports the
+    # first basis identity that fails, so its witnesses read the bases as listed
+    for v in Variety:
+        basis = record(v).basis
+        for k, dropped in enumerate(basis):
+            top = _top(basis[:k] + basis[k + 1:])
+            if v in (Variety.K, Variety.L) and str(dropped) == "xyz = O":
+                assert top is v
+            else:
+                assert top is not v and generator_leq(v, top), (v, str(dropped))
