@@ -358,7 +358,7 @@ def classify(report: EnumerationReport) -> dict:
     ids: dict = {}
     for a, v in zip(report.algebras, report.varieties):
         if v not in ids:
-            ids[v] = varieties.dense_ids(varieties.key(v, w) for w in words)
+            ids[v] = varieties.key_ids(v, words)
         class_of = word_value_classes(a, words)
         _, _, pair = varieties.compare_ids(words, [class_of[w] for w in words], ids[v])
         if pair is not None:

@@ -59,7 +59,6 @@ class VarietyRecord:
     id: Variety
     basis: tuple
     generators: tuple
-    join_components: tuple
 
 
 # variety -> (join components, generators by builtin name, basis texts)
@@ -88,13 +87,13 @@ def registry() -> tuple:
     """All sixteen records.  Each generator is checked against its basis once."""
     records = []
     for v in Variety:
-        components, generators, texts = _TABLE[v]
+        _, generators, texts = _TABLE[v]
         basis = tuple(parse_identity(text) for text in texts)
         failure = basis_failure(generators, basis)
         if failure is not None:
             gname, ident, witness = failure
             raise AssertionError(f"generator {gname} violates basis of {v}: {ident} at {witness}")
-        records.append(VarietyRecord(v, basis, generators, components))
+        records.append(VarietyRecord(v, basis, generators))
     return tuple(records)
 
 
@@ -170,16 +169,9 @@ def decide(v: Variety, ident) -> bool:
     return key(v, ident.lhs) == key(v, ident.rhs)
 
 
-def compare_partitions(words, key_a, key_b):
-    """Compare the partitions of words under two keys without visiting pairs.
-
-    Returns (only_a, only_b, pair): how many ordered pairs are equal under
-    key_a but not key_b and the reverse, by sums of squared block sizes, and
-    one such pair (of the first kind if any), or None if the keys agree.
-    Each key is read once per word and stands as its dense id, numbered in
-    order of first occurrence (`dense_ids`), so equal partitions are equal
-    id lists and the comparison ends there (`compare_ids`)."""
-    return compare_ids(words, dense_ids(map(key_a, words)), dense_ids(map(key_b, words)))
+def key_ids(v: Variety, words) -> list:
+    """The partition that key(v, .) draws on words, as their `dense_ids`."""
+    return dense_ids([key(v, w) for w in words])
 
 
 def dense_ids(labels) -> list:
@@ -191,9 +183,14 @@ def dense_ids(labels) -> list:
 
 
 def compare_ids(words, a, b):
-    """`compare_partitions` on the labels a and b of words, one per word, as
-    lists.  Equal lists end the comparison; `dense_ids` makes every two
-    lists that draw the same partition equal."""
+    """Compare the partitions of words drawn by the labels a and b, one per
+    word, as lists, without visiting pairs.
+
+    Returns (only_a, only_b, pair): how many ordered pairs are equal under a
+    but not b and the reverse, by sums of squared block sizes, and one such
+    pair (of the first kind if any), or None if the partitions agree.  Equal
+    lists end the comparison; `dense_ids` makes every two lists that draw the
+    same partition equal."""
     if a == b:
         return 0, 0, None
     pairs = list(zip(a, b))

@@ -5,10 +5,11 @@ verify-paper command.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from varietylab import enumeration, verify
+from varietylab import enumeration, models, verify
 from varietylab.terms import Mode
 
 
@@ -148,3 +149,33 @@ def test_parallel_determinism_catches_a_lost_class(monkeypatch):
     monkeypatch.setattr(enumeration, "_census", faulty_census)
     res = verify.invariant_parallel_determinism()
     assert not res.passed and res.detail.endswith(": iz")
+
+
+def test_batched_oracle_agreement_judges_every_sample(monkeypatch):
+    satisfies = verify.satisfies
+    calls = []
+
+    def counting_satisfies(a, ident):
+        calls.append(id(a))
+        return satisfies(a, ident)
+
+    monkeypatch.setattr(verify, "satisfies", counting_satisfies)
+    res = verify.invariant_batched_oracle_agreement(verify.DEFAULT_SEED)
+    assert res.passed and res.detail == "samples=400 failures=0"
+    assert len(calls) == 400
+    # every one of the six builtins, in turn
+    assert set(calls) == {id(models.builtin(name)) for name in ("A", "B", "K", "L", "M", "Z")}
+    assert sorted(Counter(calls).values()) == [66, 66, 67, 67, 67, 67]
+
+
+def test_batched_oracle_agreement_catches_a_coarsened_class_table(monkeypatch):
+    word_value_classes = verify.word_value_classes
+
+    def coarsened(a, words):
+        # a planted fault: classes 0 and 1 of each table merge
+        return {w: max(c, 1) for w, c in word_value_classes(a, words).items()}
+
+    monkeypatch.setattr(verify, "word_value_classes", coarsened)
+    res = verify.invariant_batched_oracle_agreement(verify.DEFAULT_SEED)
+    assert not res.passed
+    assert int(res.detail.split("failures=")[1]) > 0

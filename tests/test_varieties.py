@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varietylab import models, verify
+from varietylab import models, varieties, verify
 from varietylab.terms import (
     Identity,
     Mode,
@@ -22,12 +22,12 @@ from varietylab.varieties import (
     _COMPONENT_KEYS,
     Variety,
     compare_ids,
-    compare_partitions,
     decide,
     dense_ids,
     exhaustive_identity_words,
     generator_leq,
     key,
+    key_ids,
     record,
     registry,
     variety_by_name,
@@ -37,6 +37,27 @@ from varietylab.varieties import (
 
 def ident(text):
     return parse_identity(text)
+
+
+def _clear_registry_caches():
+    for cached in (varieties.registry, varieties.record, varieties.separation):
+        cached.cache_clear()
+
+
+def test_registry_rejects_a_generator_that_violates_its_basis(monkeypatch):
+    components, generators, texts = varieties._TABLE[Variety.SL]
+    planted = (components, generators, texts + ("xy = O",))
+    monkeypatch.setitem(varieties._TABLE, Variety.SL, planted)
+    _clear_registry_caches()
+    try:
+        with pytest.raises(AssertionError) as exc:
+            registry()
+        assert str(exc.value) == "generator A violates basis of SL: xy = O at {'x': 0, 'y': 0}"
+    finally:
+        # no other test may see the planted row, nor records built from it
+        monkeypatch.undo()
+        _clear_registry_caches()
+    assert len(registry()) == 16
 
 
 def test_registry_size_and_examples():
@@ -120,22 +141,29 @@ def test_substitution_closure_randomized():
     assert res.detail == "samples=120/variety failures=0"
 
 
+def _image_weights(images):
+    return [4 ** (3 - len(w)) for w in images]
+
+
 def test_substitution_images_have_their_stated_probabilities():
     # each of x, y, z: a length uniform on 1..3, then each symbol uniform on xyzO
     images = exhaustive_identity_words(max_length=3)
-    weights = verify._image_weights(images)
+    weights = _image_weights(images)
     probabilities = [Fraction(weight, sum(weights)) for weight in weights]
     assert len(images) == 84
     for image, p in zip(images, probabilities):
         assert p == Fraction(1, 3) * Fraction(1, 4) ** len(image)
     assert sum(probabilities) == 1
+    # each image's entries in the unweighted draw are its weight
+    counts = Counter(verify._images_by_weight(images))
+    assert [counts[w.symbols] for w in images] == weights
 
 
 def test_unweighted_draw_over_images_by_weight_is_the_weighted_draw():
     images = exhaustive_identity_words(max_length=3)
     by_weight = verify._images_by_weight(images)
-    assert len(by_weight) == sum(verify._image_weights(images)) == 192
-    cum_weights = list(itertools.accumulate(verify._image_weights(images)))
+    assert len(by_weight) == sum(_image_weights(images)) == 192
+    cum_weights = list(itertools.accumulate(_image_weights(images)))
     for seed in range(200):
         weighted = random.Random(seed).choices(images, cum_weights=cum_weights, k=300)
         unweighted = random.Random(seed).choices(by_weight, k=300)
@@ -223,12 +251,17 @@ def test_exhaustive_word_count():
 # Normal-form keys and partition comparison
 
 
+def _compare_keys(words, key_a, key_b):
+    """compare_ids on the partitions two keys draw on the words."""
+    return compare_ids(words, dense_ids(map(key_a, words)), dense_ids(map(key_b, words)))
+
+
 @settings(max_examples=300)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12))
 def test_compare_partitions_matches_pairwise_count(labels):
     words = list(range(len(labels)))
     key_a, key_b = (lambda w: labels[w][0]), (lambda w: labels[w][1])
-    only_a, only_b, pair = compare_partitions(words, key_a, key_b)
+    only_a, only_b, pair = _compare_keys(words, key_a, key_b)
     pairs = list(itertools.product(words, repeat=2))
     assert only_a == sum(key_a(u) == key_a(w) and key_b(u) != key_b(w) for u, w in pairs)
     assert only_b == sum(key_b(u) == key_b(w) and key_a(u) != key_a(w) for u, w in pairs)
@@ -240,7 +273,7 @@ def test_compare_partitions_matches_pairwise_count(labels):
         assert key_a(u) == key_a(w) or not only_a
 
 
-# compare_partitions as first written, a Counter over the key pairs
+# the partition comparison as first written, a Counter over the key pairs
 # themselves: the reference for the comparison of dense ids
 
 
@@ -282,13 +315,15 @@ def test_compare_partitions_matches_the_reference_exactly(labels):
     by_word = dict(zip(words, labels))
     key_a, key_b = (lambda w: by_word[w][0]), (lambda w: by_word[w][1])
     # the same counts and the same witness pair, not just a valid one
-    assert compare_partitions(words, key_a, key_b) == _reference_compare_partitions(
+    assert _compare_keys(words, key_a, key_b) == _reference_compare_partitions(
         words, key_a, key_b
     )
 
 
 def test_dense_ids_number_labels_by_first_occurrence():
     assert dense_ids(["b", None, "b", ("a",), None]) == [0, 1, 0, 2, 1]
+    words = [Word(s) for s in ("x", "xx", "y", "xO", "yx", "xy")]
+    assert key_ids(Variety.SL, words) == [0, 0, 1, 0, 2, 2]
     # the same partition under other labels: equal ids, so nothing to split
     assert compare_ids("pqrst", dense_ids("xyxzy"), dense_ids([7, 3, 7, 0, 3])) == (0, 0, None)
     assert compare_ids("pqr", [0, 0, 1], [0, 1, 1]) == (2, 2, ("p", "q"))
@@ -308,7 +343,7 @@ def test_keys_match_generators_up_to_length_six():
     words = exhaustive_identity_words(max_length=6)
     assert len(words) == 5460
     for v, classes in _generator_oracles(words).items():
-        got = compare_partitions(words, lambda w: key(v, w), classes)
+        got = _compare_keys(words, lambda w: key(v, w), classes)
         assert got == (0, 0, None), v
 
 
