@@ -66,7 +66,6 @@ from .models import (
     word_value_classes,
 )
 from .terms import Mode
-from .varieties import Variety
 
 MAX_ORDER = 5
 # the largest relabeling table kept between calls: the 5! of order 6

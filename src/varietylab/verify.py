@@ -8,7 +8,9 @@ identity space compare partitions of its 340 words (normal-form keys against
 the generators' value classes) instead of visiting its 115,600 pairs.  A
 partition is a list of dense ids, one per word, numbered in order of first
 occurrence, so equal partitions are equal lists, and equal lists end the
-comparison.  Output is free of timings so repeated runs are byte-identical.
+comparison.  The substitution-closure sample is judged the same way: each
+variety keys the distinct image words of its sample once, by `key_ids`.
+Output is free of timings so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .terms import (
     Mode,
     Word,
     ZERO,
-    apply_substitution,
     contains_square,
     content,
     length,
@@ -270,13 +271,14 @@ def check_10_derivation_replay() -> CheckResult:
 def check_11_subdirect_decomposition() -> CheckResult:
     problems = []
     total = 0
+    idempotent, right_unit, left_unit = map(parse_identity, ("xx = x", "xO = x", "Ox = x"))
     for order in (1, 2, 3, 4):
         for a in enumerate_algebras(order, Mode.IS).algebras:
             total += 1
             if not subdirect_check(a).passed:
                 problems.append(f"subdirect decomposition fails at order {order}")
-            band = satisfies(a, "xx = x").holds
-            monoid = satisfies(a, "xO = x").holds and satisfies(a, "Ox = x").holds
+            band = satisfies(a, idempotent).holds
+            monoid = satisfies(a, right_unit).holds and satisfies(a, left_unit).holds
             if band != monoid:
                 problems.append(f"band/monoid equivalence fails at order {order}")
     result = CheckResult(
@@ -396,30 +398,44 @@ def invariant_substitution_closure(seed: int, samples: int = 1000) -> CheckResul
     length <= 3 over x, y, z, O with key(V, u) == key(V, w), each such pair
     equally likely; and a substitution sending each of x, y, z to an image
     of length uniform on 1..3 whose symbols are uniform on x, y, z, O, so an
-    image word of length L has probability (1/3) * 4**-L.  The image
-    identity must hold in V by `decide`.  Images of u and w reach length 9.
+    image word of length L has probability (1/3) * 4**-L.  Images of u and w
+    reach length 9.
 
     Each variety's draw is two `rng.choices` calls: its pairs, then its
-    3 * samples letter images, drawn unweighted from `_images_by_weight`."""
+    3 * samples letter images, drawn unweighted from `_images_by_weight`.
+    The sample is judged through `varieties.key_ids`, called once per
+    variety on the distinct image words: a sample fails iff its two images
+    get different ids.  The judge is key(V, .) of each image word itself,
+    never anything built from the keys of the letters' images, so the check
+    does not assume the compatibility it tests."""
     rng = random.Random(seed)
     words = exhaustive_identity_words(max_length=3)
     # the images are these same 84 words, drawn by their probability
     images_by_weight = _images_by_weight(words)
-    letters = tuple(map(ord, "xyz"))
+    x, y, z = map(ord, "xyz")
     failures = 0
     first = None
     for v in Variety:
         pairs = rng.choices(_holding_pairs(v, words), k=samples)
         images = iter(rng.choices(images_by_weight, k=3 * samples))
-        # one iterator zipped thrice: the images of x, y, z, three at a time
-        for (u, w), triple in zip(pairs, zip(images, images, images)):
-            # the substitution_table of x, y, z -> triple
-            table = dict(zip(letters, triple))
-            image = Identity(apply_substitution(u, table), apply_substitution(w, table), Mode.IS)
-            if not decide(v, image):
-                failures += 1
-                if first is None:
-                    first = f"{v}: {Identity(u, w, Mode.IS)} -> {image}"
+        # one iterator zipped thrice: the images of x, y, z, three at a time,
+        # each triple as its substitution_table
+        tables = ({x: a, y: b, z: c} for a, b, c in zip(images, images, images))
+        # the texts of the images of u and w, sample after sample
+        sides = [
+            side.translate(table)
+            for (u, w), table in zip(pairs, tables)
+            for side in (u.symbols, w.symbols)
+        ]
+        texts = list(dict.fromkeys(sides))  # each distinct text once, by first occurrence
+        id_of = dict(zip(texts, varieties.key_ids(v, [Word(s) for s in texts])))
+        ids = [id_of[s] for s in sides]
+        failing = [k for k, (i, j) in enumerate(zip(ids[::2], ids[1::2])) if i != j]
+        failures += len(failing)
+        if first is None and failing:
+            k = failing[0]
+            u, w = pairs[k]
+            first = f"{v}: {Identity(u, w, Mode.IS)} -> {sides[2 * k]} = {sides[2 * k + 1]}"
     detail = f"samples={samples}/variety failures={failures}"
     if first:
         detail += f" first={first}"

@@ -12,6 +12,7 @@ from varietylab.terms import (
     Identity,
     Mode,
     Word,
+    apply_substitution,
     contains_square,
     length,
     los,
@@ -489,6 +490,74 @@ def test_substitution_closure_catches_a_fault_only_long_words_reveal(monkeypatch
     assert decide(v, parse_identity(found.group(3)))
     assert not decide(v, parse_identity(f"{found.group(4)} = {found.group(5)}"))
     assert max(len(found.group(4)), len(found.group(5))) >= 7
+
+
+def _substitution_closure_reference(seed, samples=1000):
+    """The sample judged one pair at a time: the same two draws per variety,
+    then for each sample its image identity, built by `apply_substitution`,
+    decided by `decide`."""
+    rng = random.Random(seed)
+    words = exhaustive_identity_words(max_length=3)
+    images_by_weight = verify._images_by_weight(words)
+    letters = tuple(map(ord, "xyz"))
+    failures = 0
+    first = None
+    for v in Variety:
+        pairs = rng.choices(verify._holding_pairs(v, words), k=samples)
+        images = iter(rng.choices(images_by_weight, k=3 * samples))
+        for (u, w), triple in zip(pairs, zip(images, images, images)):
+            table = dict(zip(letters, triple))
+            image = Identity(apply_substitution(u, table), apply_substitution(w, table), Mode.IS)
+            if not decide(v, image):
+                failures += 1
+                if first is None:
+                    first = f"{v}: {Identity(u, w, Mode.IS)} -> {image}"
+    detail = f"samples={samples}/variety failures={failures}"
+    if first:
+        detail += f" first={first}"
+    return verify.CheckResult("substitution-closure", failures == 0, detail)
+
+
+@pytest.mark.parametrize(
+    "seed, samples",
+    [*((seed, 200) for seed in range(20)), (verify.DEFAULT_SEED, 1000), (7, 1000)],
+)
+def test_substitution_closure_matches_the_per_sample_reference(seed, samples):
+    expected = _substitution_closure_reference(seed, samples)
+    assert verify.invariant_substitution_closure(seed, samples) == expected
+
+
+@pytest.mark.parametrize("component", list(_COMPONENT_KEYS), ids=str)
+def test_substitution_closure_matches_the_reference_under_a_planted_key(
+    monkeypatch, component
+):
+    # length mod 3 is no congruence: it identifies xy and xxxxx, not their
+    # images xyy and xxxxx under y -> yy
+    monkeypatch.setitem(_COMPONENT_KEYS, component, lambda w: len(w) % 3)
+    res = verify.invariant_substitution_closure(verify.DEFAULT_SEED)
+    assert not res.passed
+    assert res == _substitution_closure_reference(verify.DEFAULT_SEED)
+
+
+def test_substitution_closure_keys_each_distinct_image_once(monkeypatch):
+    samples = 1000
+    keyed = {v: [] for v in Variety}
+    plain_key = varieties.key
+
+    def recording_key(v, w):
+        keyed[v].append(w)
+        return plain_key(v, w)
+
+    # key_ids looks key up at call time, so every word keyed goes through here
+    monkeypatch.setattr(varieties, "key", recording_key)
+    assert verify.invariant_substitution_closure(verify.DEFAULT_SEED, samples).passed
+    words = list(exhaustive_identity_words(max_length=3))
+    for v, calls in keyed.items():
+        # first the words of length <= 3, to find the holding pairs
+        assert calls[: len(words)] == words
+        images = calls[len(words):]
+        assert len(set(images)) == len(images), v
+        assert 0 < len(images) < 2 * samples, v
 
 
 # Bases: which identities are redundant
