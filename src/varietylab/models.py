@@ -16,15 +16,28 @@ the loop of letter j runs only the steps of level j, so a step is redone
 only when a letter it reads changes.  ``check_axioms`` compiles the axiom
 texts of ``terms.AXIOM_TEXTS`` once per mode.
 
-``word_value_classes`` is a second, batched route that shares no evaluation
-code with the register programs.  It holds a word's values over all
-assignments as one ``bytes`` vector, one byte lane per assignment, and
-builds each word's vector from its prefix's with whole-vector operations
-(packed byte lanes, as in Lamport's "Multiple byte processing with
-full-word instructions", CACM 1975): one carry-free big-integer
-multiply-add puts the index u*n + c of each product's table cell in its
-lane, and one ``bytes.translate`` through the flat table reads the cells.
-A lane holds at most n*n - 1, so the route serves orders up to
+From order ``LANE_MIN_ORDER`` to 256 the innermost letter's loop is one
+pass over ``bytes`` columns with one byte lane per element, the idea of
+Lamport's "Multiple byte processing with full-word instructions" (CACM
+1975): a column times an element is one ``bytes.translate`` through the
+element's column padded to 256 bytes, an element times a column one
+translate through its padded row, and a column times a column one ``map``
+over the rows.  The outer letters keep the per-element loop.  A pass has
+a fixed cost of a few calls and computes all n lanes even when the first
+one already differs, so at small orders the loop is as fast or faster:
+``LANE_MIN_ORDER`` is the measured crossover, and it keeps the census,
+whose tables have orders 1 to 4, on the loop.  Above 256 an element does
+not fit a lane.  Each algebra builds its columns and translate maps once,
+on first use.
+
+``word_value_classes`` is a second, batched route that shares no
+evaluation code with the register programs, their lane columns included.
+It holds a word's values over all assignments as one ``bytes`` vector, one
+byte lane per assignment, and builds each word's vector from its prefix's
+with whole-vector operations (packed byte lanes again): one carry-free
+big-integer multiply-add puts the index u*n + c of each product's table
+cell in its lane, and one ``bytes.translate`` through the flat table reads
+the cells.  A lane holds at most n*n - 1, so the route serves orders up to
 ``MAX_LANE_ORDER`` = 16.
 """
 
@@ -32,7 +45,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import getitem
 
 from .terms import (
     AXIOM_TEXTS,
@@ -97,6 +111,17 @@ class FiniteAlgebra:
     @property
     def order(self) -> int:
         return len(self.table)
+
+    @cached_property
+    def _lane_tables(self) -> tuple:
+        # for _run's lane column, orders up to 256: the column 0, 1, ...,
+        # n - 1, the rows and columns padded to 256 bytes as translate maps,
+        # and each element repeated in all n lanes
+        n = self.order
+        rows = tuple(bytes(row).ljust(256, b"\0") for row in self.table)
+        columns = tuple(bytes(col).ljust(256, b"\0") for col in zip(*self.table))
+        fills = tuple(bytes((e,)) * n for e in range(n))
+        return bytes(range(n)), rows, columns, fills
 
     def element_name(self, i: int) -> str:
         if self.element_names is not None:
@@ -163,9 +188,13 @@ def identity_letters(ident: Identity) -> tuple:
 
 
 def _compile(ident: Identity, letters: tuple) -> tuple:
-    """The register program (levels, lhs register, rhs register) of ident:
-    levels[j] holds, in order, the steps (out, a, b) whose last letter read
-    is letter j, directly or through earlier steps."""
+    """The register program (levels, lhs register, rhs register, lane plan)
+    of ident: levels[j] holds, in order, the steps (out, a, b) whose last
+    letter read is letter j, directly or through earlier steps.
+
+    The lane plan says how the steps of the innermost level k run on bytes
+    columns: each step as (out, a, b, kind), kind 1 when only a is of level
+    k, 2 when only b is and 3 when both are; then whether each side is."""
     register = {letter: r for r, letter in enumerate(letters, 1)}
     level = list(range(len(letters) + 1))  # of each register
     levels = [[] for _ in level]
@@ -191,7 +220,16 @@ def _compile(ident: Identity, letters: tuple) -> tuple:
 
     side = word if ident.mode is Mode.IS else tree
     lhs, rhs = side(ident.lhs), side(ident.rhs)
-    return tuple(map(tuple, levels)), lhs, rhs
+    k = len(letters)
+    lanes = tuple(
+        (out, a, b, (level[a] == k) | (level[b] == k) << 1) for out, a, b in levels[k]
+    )
+    return tuple(map(tuple, levels)), lhs, rhs, (lanes, level[lhs] == k, level[rhs] == k)
+
+
+# the least order at which _run's lane column beats the per-element loop,
+# measured on full sweeps and on identities that fail at once
+LANE_MIN_ORDER = 6
 
 
 def _run(a: FiniteAlgebra, letters: tuple, program: tuple) -> SatResult:
@@ -200,8 +238,12 @@ def _run(a: FiniteAlgebra, letters: tuple, program: tuple) -> SatResult:
 
     One loop per letter, the first letter outermost: the loop of letter j
     sets register j to each element in turn and runs the steps of level j,
-    and the sides are compared in the innermost loop."""
-    levels, lhs, rhs = program
+    and the sides are compared in the innermost loop.  From order
+    ``LANE_MIN_ORDER`` to 256 the innermost letter takes all its values at
+    once: its register and the registers of its steps hold ``bytes``
+    columns, one lane per element, and the first lane where the sides
+    differ is the witness's value of that letter."""
+    levels, lhs, rhs, plan = program
     table, n, k = a.table, a.order, len(letters)
     regs = [a.distinguished] * (k + 1 + sum(map(len, levels)))
 
@@ -211,13 +253,37 @@ def _run(a: FiniteAlgebra, letters: tuple, program: tuple) -> SatResult:
         for regs[j] in range(n):
             for out, x, y in steps:
                 regs[out] = table[regs[x]][regs[y]]
-            if (regs[lhs] != regs[rhs]) if j == k else differs(j + 1):
+            if (regs[lhs] != regs[rhs]) if j == k else inner(j + 1):
                 return True
         return False
 
+    inner = differs  # what the loop of letter j - 1 runs for letter j
+    if k and LANE_MIN_ORDER <= n <= 256:
+        iota, rows, columns, fills = a._lane_tables
+        lanes, lhs_lane, rhs_lane = plan
+
+        def inner(j):
+            # differs(j), but letter k takes all its values in one pass
+            if j < k:
+                return differs(j)
+            regs[k] = iota
+            for out, x, y, kind in lanes:
+                if kind == 1:  # column times element: through its padded column
+                    regs[out] = regs[x].translate(columns[regs[y]])
+                elif kind == 2:  # element times column: through its padded row
+                    regs[out] = regs[y].translate(rows[regs[x]])
+                else:
+                    regs[out] = bytes(map(getitem, map(table.__getitem__, regs[x]), regs[y]))
+            u = regs[lhs] if lhs_lane else fills[regs[lhs]]
+            v = regs[rhs] if rhs_lane else fills[regs[rhs]]
+            if u == v:
+                return False
+            regs[k] = next(e for e in range(n) if u[e] != v[e])
+            return True
+
     for out, x, y in levels[0]:
         regs[out] = table[regs[x]][regs[y]]
-    if (regs[lhs] != regs[rhs]) if k == 0 else differs(1):
+    if (regs[lhs] != regs[rhs]) if k == 0 else inner(1):
         return SatResult(False, dict(zip(letters, regs[1:k + 1])))
     return SatResult(True, None)
 

@@ -188,16 +188,17 @@ def compare_ids(words, a, b):
 
     Returns (only_a, only_b, pair): how many ordered pairs are equal under a
     but not b and the reverse, by sums of squared block sizes, and one such
-    pair (of the first kind if any), or None if the partitions agree.  Equal
-    lists end the comparison; `dense_ids` makes every two lists that draw the
-    same partition equal."""
+    pair (of the first kind if any), or None if the partitions agree; a
+    kind with no pairs is not searched.  Equal lists end the comparison;
+    `dense_ids` makes every two lists that draw the same partition equal."""
     if a == b:
         return 0, 0, None
     pairs = list(zip(a, b))
     meet = _sum_squares(pairs)
     only_a = _sum_squares(a) - meet
     only_b = _sum_squares(b) - meet
-    return only_a, only_b, _split(words, pairs, 0) or _split(words, pairs, 1)
+    witness = (only_a and _split(words, pairs, 0)) or (only_b and _split(words, pairs, 1))
+    return only_a, only_b, witness or None
 
 
 def _sum_squares(labels) -> int:

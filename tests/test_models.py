@@ -9,6 +9,7 @@ from varietylab.models import (
     BUILTIN_NAMES,
     FiniteAlgebra,
     NotAnIdealError,
+    SatResult,
     builtin,
     check_axioms,
     direct_product,
@@ -254,3 +255,17 @@ def test_satisfies_all_assignments_count():
         seen.append(values)
     assert len(seen) == 4
     assert satisfies(a, ident)
+
+
+@pytest.mark.parametrize(
+    "n, lanes",
+    [(models.LANE_MIN_ORDER - 1, False), (models.LANE_MIN_ORDER, True), (256, True), (257, False)],
+)
+def test_lane_column_runs_from_the_gate_order_to_256(n, lanes):
+    # the join semilattice 0 < 1 < ... < n - 1 with the constant 0; above
+    # 256 an element does not fit a byte lane, so the loop must answer
+    a = make_algebra([[max(i, j) for j in range(n)] for i in range(n)], 0)
+    assert satisfies(a, "xO = x") == SatResult(True)
+    assert satisfies(a, "xx = O") == SatResult(False, {"x": 1})
+    assert satisfies(a, "xy = x") == SatResult(False, {"x": 0, "y": 1})
+    assert ("_lane_tables" in vars(a)) == lanes

@@ -8,15 +8,28 @@ from hypothesis import given, settings, strategies as st
 
 from varietylab.enumeration import canonical_form
 from varietylab.models import (
+    LANE_MIN_ORDER,
     MAX_LANE_ORDER,
     builtin,
+    check_axioms,
+    direct_product,
     evaluate,
     is_isomorphic,
     make_algebra,
     satisfies,
     word_value_classes,
 )
-from varietylab.terms import ZERO, Arrow, Identity, Mode, Var, Word, normalize_is
+from varietylab.terms import (
+    AXIOM_TEXTS,
+    ZERO,
+    Arrow,
+    Identity,
+    Mode,
+    Var,
+    Word,
+    normalize_is,
+    parse_identity,
+)
 from varietylab.varieties import Variety, decide
 
 
@@ -175,11 +188,47 @@ identities = st.one_of(
 )
 
 @settings(max_examples=400)
-@given(tables(1), identities)
-def test_compiled_satisfies_matches_reference_evaluator(table_dist, ident):
-    a = make_algebra(*table_dist)
-    res = satisfies(a, ident)
-    assert (res.holds, res.witness) == reference_satisfies(a, ident)
+@given(tables(1), tables(LANE_MIN_ORDER, 7), identities)
+def test_compiled_satisfies_matches_reference_evaluator(table_dist, lane_table_dist, ident):
+    # the first table runs the per-element loop, the second the lane column
+    for table_dist in (table_dist, lane_table_dist):
+        a = make_algebra(*table_dist)
+        res = satisfies(a, ident)
+        assert (res.holds, res.witness) == reference_satisfies(a, ident)
+
+
+def reference_axioms(a, mode):
+    """check_axioms as (name, passed, witness) triples: a scan of the
+    triples for associativity, then reference_satisfies."""
+    checks = []
+    if mode is Mode.IS:
+        t = a.table
+        bad = next(
+            (
+                (i, j, k)
+                for i, j, k in itertools.product(range(a.order), repeat=3)
+                if t[t[i][j]][k] != t[i][t[j][k]]
+            ),
+            None,
+        )
+        checks.append(("associativity", bad is None, bad))
+    for text in AXIOM_TEXTS[mode]:
+        checks.append((text, *reference_satisfies(a, parse_identity(text, mode))))
+    return checks
+
+
+@pytest.mark.parametrize("names", [("M", "K"), ("M", "M")])
+def test_lane_column_matches_the_reference_on_products(names):
+    a = direct_product(*map(builtin, names))  # orders 20 and 25
+    for mode in (Mode.IS, Mode.IZ):
+        report = check_axioms(a, mode)
+        assert [(c.name, c.passed, c.witness) for c in report.checks] == reference_axioms(a, mode)
+    # two that hold in both products and one that fails
+    for text in ("xyz = O", "xy = yx", "xx = x"):
+        ident = parse_identity(text)
+        res = satisfies(a, ident)
+        assert (res.holds, res.witness) == reference_satisfies(a, ident)
+    assert "_lane_tables" in vars(a)
 
 
 @settings(max_examples=300)

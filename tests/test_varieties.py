@@ -321,6 +321,33 @@ def test_compare_partitions_matches_the_reference_exactly(labels):
     )
 
 
+def _reference_compare_ids(words, a, b):
+    """compare_ids as first written: both sides scanned for a witness."""
+    if a == b:
+        return 0, 0, None
+    pairs = list(zip(a, b))
+    meet = _reference_sum_squares(pairs)
+    only_a = _reference_sum_squares(a) - meet
+    only_b = _reference_sum_squares(b) - meet
+    return only_a, only_b, _reference_split(words, pairs, 0) or _reference_split(words, pairs, 1)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12))
+def test_compare_ids_scans_only_a_side_with_pairs(labels):
+    words = [f"w{i}" for i in range(len(labels))]
+    a, b = [p[0] for p in labels], [p[1] for p in labels]
+    scans = []
+    split = varieties._split
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(varieties, "_split", lambda *args: scans.append(args[2]) or split(*args))
+        only_a, only_b, pair = compare_ids(words, a, b)
+    assert (only_a, only_b, pair) == _reference_compare_ids(words, a, b)
+    # one scan, on the first side that has pairs, and none when the
+    # partitions agree (a nested pair of partitions leaves one side empty)
+    assert scans == ([0] if only_a else [1] if only_b else [])
+
+
 def test_dense_ids_number_labels_by_first_occurrence():
     assert dense_ids(["b", None, "b", ("a",), None]) == [0, 1, 0, 2, 1]
     words = [Word(s) for s in ("x", "xx", "y", "xO", "yx", "xy")]
