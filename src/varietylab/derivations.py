@@ -82,11 +82,6 @@ class Script:
 class StepError(Exception):
     """A step that cannot be applied: bad label, bad position, or no match."""
 
-    def __init__(self, message: str, expected=None, found=None):
-        super().__init__(message)
-        self.expected = expected
-        self.found = found
-
 
 @dataclass
 class ReplayResult:
@@ -136,22 +131,14 @@ def apply_step(term, step: Step, rules: dict, mode: Mode):
         expected = substitute(src, step.substitution)
         found = Word(term.symbols[i - 1:j])
         if found != expected:
-            raise StepError(
-                f"no match at {i}..{j}: expected {expected}, found {found}",
-                expected,
-                found,
-            )
+            raise StepError(f"no match at {i}..{j}: expected {expected}, found {found}")
         replacement = substitute(dst, step.substitution)
         return Word(term.symbols[: i - 1] + replacement.symbols + term.symbols[j:])
     path = "" if step.position == "e" else step.position
     found = _term_at_path(term, path)
     expected = substitute_term(src, step.substitution)
     if found != expected:
-        raise StepError(
-            f"no match at {step.position}: expected {expected}, found {found}",
-            expected,
-            found,
-        )
+        raise StepError(f"no match at {step.position}: expected {expected}, found {found}")
     replacement = substitute_term(dst, step.substitution)
     return _replace_at_path(term, path, replacement)
 

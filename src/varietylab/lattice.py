@@ -155,13 +155,6 @@ class FiniteLattice:
                 return self.elements[i]
         raise LatticeError("no least element")
 
-    def greatest(self):
-        full = (1 << len(self.elements)) - 1
-        for i, down in enumerate(self._down):
-            if down == full:
-                return self.elements[i]
-        raise LatticeError("no greatest element")
-
     def atoms(self) -> frozenset:
         bottom = self.index(self.least())
         return frozenset(self.elements[j] for j in _bits(self._covers[bottom]))

@@ -13,8 +13,12 @@ letters; each step (out, a, b) sets register out to
 by a post-order walk, one step per product.  A step's level is the last
 letter it reads, 0 for none, and the run nests one loop per letter:
 the loop of letter j runs only the steps of level j, so a step is redone
-only when a letter it reads changes.  ``check_axioms`` compiles the axiom
-texts of ``terms.AXIOM_TEXTS`` once per mode.
+only when a letter it reads changes.  ``check_axioms`` compiles its laws once
+per mode: the axiom texts of ``terms.AXIOM_TEXTS`` and, in associative mode,
+associativity first, as the tree law ``((x>y)>z) = (x>(y>z))`` since flat
+words build it in.  Every witness, of ``satisfies`` and of each
+``AxiomCheck``, is the letter -> element dict of the lexicographically first
+failing assignment, so associativity's is the first failing triple.
 
 From order ``LANE_MIN_ORDER`` to 256 the innermost letter's loop is one
 pass over ``bytes`` columns with one byte lane per element, the idea of
@@ -360,7 +364,7 @@ def word_value_classes(a: FiniteAlgebra, words, letters=("x", "y", "z")) -> dict
 class AxiomCheck:
     name: str
     passed: bool
-    witness: object = None
+    witness: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -376,18 +380,15 @@ class AxiomReport:
         return self.passed
 
 
-def _associativity_check(a: FiniteAlgebra) -> AxiomCheck:
-    t = a.table
-    for i, j, k in itertools.product(range(a.order), repeat=3):
-        if t[t[i][j]][k] != t[i][t[j][k]]:
-            return AxiomCheck("associativity", False, (i, j, k))
-    return AxiomCheck("associativity", True)
-
-
 @lru_cache(maxsize=None)
 def _axiom_programs(mode: Mode) -> tuple:
-    """(text, letters, register program) of each defining identity of mode."""
-    return tuple((text, *_program(parse_identity(text, mode))) for text in AXIOM_TEXTS[mode])
+    """(name, letters, register program) of each law of mode: in associative
+    mode first associativity, in tree syntax since flat words build it in,
+    then the defining identities, each named by its text."""
+    laws = [(text, parse_identity(text, mode)) for text in AXIOM_TEXTS[mode]]
+    if mode is Mode.IS:
+        laws.insert(0, ("associativity", parse_identity("((x>y)>z) = (x>(y>z))", Mode.IZ)))
+    return tuple((name, *_program(ident)) for name, ident in laws)
 
 
 def check_axioms(a: FiniteAlgebra, mode: Mode) -> AxiomReport:
@@ -395,11 +396,9 @@ def check_axioms(a: FiniteAlgebra, mode: Mode) -> AxiomReport:
     identities in associative mode, the two defining identities in tree mode."""
     mode = Mode(mode)
     checks = []
-    if mode is Mode.IS:
-        checks.append(_associativity_check(a))
-    for text, letters, program in _axiom_programs(mode):
+    for name, letters, program in _axiom_programs(mode):
         res = _run(a, letters, program)
-        checks.append(AxiomCheck(text, res.holds, res.witness))
+        checks.append(AxiomCheck(name, res.holds, res.witness))
     return AxiomReport(mode, tuple(checks))
 
 
@@ -496,22 +495,29 @@ class SubdirectReport:
         return self.passed
 
 
+# The laws of the constant e that subdirect_check requires: e is idempotent
+# and central, and s -> e*s is a homomorphism; given associativity, Oxy = OxOy
+# says e(su) = (es)(eu).
+_CONSTANT_LAWS = tuple(map(parse_identity, ("OO = O", "Ox = xO", "Oxy = OxOy")))
+
+
 def subdirect_check(a: FiniteAlgebra) -> SubdirectReport:
-    """Decompose over e = distinguished: verify e is a central idempotent, that
-    s -> (e*s, class of s) embeds a into (eS) x (S/eS), that eS is a band and
-    the quotient kills all triple products."""
+    """Decompose an algebra that passes ``check_axioms`` in associative mode
+    over e = distinguished: verify with ``satisfies`` the laws of
+    ``_CONSTANT_LAWS`` (e is a central idempotent, s -> e*s a homomorphism),
+    reporting each failing one with its witness; then that s -> (e*s, class
+    of s) embeds a into (eS) x (S/eS) with a homomorphic second component,
+    that eS is a band and that the quotient kills all triple products."""
     axioms = check_axioms(a, Mode.IS)
     if not axioms.passed:
         raise AxiomViolationError(axioms)
     t = a.table
     e = a.distinguished
     failures = []
-    if t[e][e] != e:
-        failures.append(f"distinguished element not idempotent: e*e={t[e][e]}")
-    for s in range(a.order):
-        if t[e][s] != t[s][e]:
-            failures.append(f"distinguished element not central at {s}")
-            break
+    for law in _CONSTANT_LAWS:
+        res = satisfies(a, law)
+        if not res:
+            failures.append(f"constant law {law} fails at {res.witness}")
     ideal = frozenset(t[e][s] for s in range(a.order))
     band = subalgebra_generated(a, ideal)
     _, cls = _quotient_data(a, ideal)
@@ -524,10 +530,7 @@ def subdirect_check(a: FiniteAlgebra) -> SubdirectReport:
         seen[key] = s
     for s in range(a.order):
         for u in range(a.order):
-            p = t[s][u]
-            if t[e][p] != t[t[e][s]][t[e][u]]:
-                failures.append(f"first component not a homomorphism at ({s},{u})")
-            if cls[p] != nil.table[cls[s]][cls[u]]:
+            if cls[t[s][u]] != nil.table[cls[s]][cls[u]]:
                 failures.append(f"second component not a homomorphism at ({s},{u})")
     if not satisfies(band, "xx = x"):
         failures.append("ideal part is not a band")

@@ -152,21 +152,10 @@ def contains_square(w: Word) -> bool:
     return False
 
 
-def substitution_table(mapping: dict) -> dict:
-    """The ``str.translate`` table of a letter -> image word mapping; O and
-    the letters the mapping leaves out translate to themselves."""
-    return {ord(ch): img.symbols for ch, img in mapping.items() if ch in _LETTERS}
-
-
-def apply_substitution(w: Word, table: dict) -> Word:
-    """The image of w under the substitution whose ``substitution_table`` is
-    table, so that one table serves every word the substitution is applied to."""
-    return Word(w.symbols.translate(table))
-
-
 def substitute(w: Word, mapping: dict) -> Word:
     """Replace each letter by its image word; O is fixed, absent letters too."""
-    return apply_substitution(w, substitution_table(mapping))
+    table = {ord(ch): img.symbols for ch, img in mapping.items() if ch in _LETTERS}
+    return Word(w.symbols.translate(table))
 
 
 def normalize_is(w: Word) -> Word:

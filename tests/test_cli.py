@@ -90,9 +90,17 @@ def test_variety_of(capsys):
     assert code == 0 and out == "L\n"
 
 
-def test_variety_of_rejects_non_semigroup(capsys):
-    code, _, err = run(capsys, ["variety-of", "builtin:2b"])
-    assert code == 1 and "verification failure" in err
+def test_variety_of_rejects_non_semigroup(capsys, tmp_path):
+    path = tmp_path / "2b.alg"
+    path.write_text(render_algebra(builtin("2b")), encoding="utf-8")
+    for spec in ("builtin:2b", str(path)):
+        code, out, err = run(capsys, ["variety-of", spec])
+        # the witness names each letter of the first failing triple
+        assert code == 1 and out == ""
+        assert err.startswith(
+            "verification failure: axiom check failed: "
+            "associativity fails at {'x': 0, 'y': 0, 'z': 0}"
+        )
 
 
 LATTICE_REPORT = (

@@ -93,7 +93,7 @@ def test_check_axioms_is():
         assert report.passed, (name, report)
     report = check_axioms(builtin("2b"), Mode.IS)
     assoc = report.checks[0]
-    assert not assoc.passed and assoc.witness == (0, 0, 0)
+    assert not assoc.passed and assoc.witness == {"x": 0, "y": 0, "z": 0}
 
 
 def test_check_axioms_iz():
@@ -193,6 +193,17 @@ def test_subdirect_check_builtins():
     assert subdirect_check(builtin("K")).passed
     with pytest.raises(AxiomViolationError):
         subdirect_check(builtin("2b"))
+
+
+def test_subdirect_check_reports_a_failing_constant_law(monkeypatch):
+    # a false law planted among the laws of the constant: in B, e*e = e, not 1
+    planted = parse_identity("xx = O")
+    monkeypatch.setattr(models, "_CONSTANT_LAWS", (*models._CONSTANT_LAWS, planted))
+    rep = subdirect_check(builtin("B"))
+    assert not rep.passed
+    assert rep.failures == ["constant law xx = O fails at {'x': 0}"]
+    # in M, a*a = 0 is the constant and b*b is not
+    assert subdirect_check(builtin("M")).failures == ["constant law xx = O fails at {'x': 1}"]
 
 
 def test_is_isomorphic():

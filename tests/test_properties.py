@@ -198,14 +198,14 @@ def test_compiled_satisfies_matches_reference_evaluator(table_dist, lane_table_d
 
 
 def reference_axioms(a, mode):
-    """check_axioms as (name, passed, witness) triples: a scan of the
-    triples for associativity, then reference_satisfies."""
+    """check_axioms as (name, passed, witness) triples: in associative mode
+    a scan of the triples for associativity, then reference_satisfies."""
     checks = []
     if mode is Mode.IS:
         t = a.table
         bad = next(
             (
-                (i, j, k)
+                {"x": i, "y": j, "z": k}
                 for i, j, k in itertools.product(range(a.order), repeat=3)
                 if t[t[i][j]][k] != t[i][t[j][k]]
             ),
@@ -215,6 +215,18 @@ def reference_axioms(a, mode):
     for text in AXIOM_TEXTS[mode]:
         checks.append((text, *reference_satisfies(a, parse_identity(text, mode))))
     return checks
+
+
+@given(tables(1), tables(LANE_MIN_ORDER, 7))
+def test_check_axioms_matches_the_reference_on_random_tables(table_dist, lane_table_dist):
+    # most random tables fail associativity, so its failing witness is
+    # checked on the per-element loop (first table) and the lane column
+    for table_dist in (table_dist, lane_table_dist):
+        a = make_algebra(*table_dist)
+        for mode in (Mode.IS, Mode.IZ):
+            report = check_axioms(a, mode)
+            got = [(c.name, c.passed, c.witness) for c in report.checks]
+            assert got == reference_axioms(a, mode)
 
 
 @pytest.mark.parametrize("names", [("M", "K"), ("M", "M")])

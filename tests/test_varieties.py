@@ -12,12 +12,12 @@ from varietylab.terms import (
     Identity,
     Mode,
     Word,
-    apply_substitution,
     contains_square,
     length,
     los,
     normalize_is,
     parse_identity,
+    substitute,
 )
 from varietylab.varieties import (
     _COMPONENT_KEYS,
@@ -241,7 +241,7 @@ def test_variety_of_evaluates_each_distinct_identity_once(monkeypatch):
 def test_variety_of_rejects_non_algebra():
     with pytest.raises(models.AxiomViolationError) as exc:
         variety_of(models.builtin("2b"))
-    assert exc.value.report.checks[0].witness == (0, 0, 0)
+    assert exc.value.report.checks[0].witness == {"x": 0, "y": 0, "z": 0}
 
 
 def test_exhaustive_word_count():
@@ -521,20 +521,19 @@ def test_substitution_closure_catches_a_fault_only_long_words_reveal(monkeypatch
 
 def _substitution_closure_reference(seed, samples=1000):
     """The sample judged one pair at a time: the same two draws per variety,
-    then for each sample its image identity, built by `apply_substitution`,
-    decided by `decide`."""
+    then for each sample its image identity, built by `substitute`, decided
+    by `decide`."""
     rng = random.Random(seed)
     words = exhaustive_identity_words(max_length=3)
     images_by_weight = verify._images_by_weight(words)
-    letters = tuple(map(ord, "xyz"))
     failures = 0
     first = None
     for v in Variety:
         pairs = rng.choices(verify._holding_pairs(v, words), k=samples)
         images = iter(rng.choices(images_by_weight, k=3 * samples))
         for (u, w), triple in zip(pairs, zip(images, images, images)):
-            table = dict(zip(letters, triple))
-            image = Identity(apply_substitution(u, table), apply_substitution(w, table), Mode.IS)
+            mapping = dict(zip("xyz", map(Word, triple)))
+            image = Identity(substitute(u, mapping), substitute(w, mapping), Mode.IS)
             if not decide(v, image):
                 failures += 1
                 if first is None:
