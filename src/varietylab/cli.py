@@ -185,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="census of small algebras up to isomorphism")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--mode", choices=[m.value for m in Mode], required=True)
-    # SUPPRESS keeps the subcommand flag from clobbering the global one
-    p.add_argument("--jobs", type=_jobs, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("replay", help="check a derivation script")
@@ -197,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-paper",
         help="run the complete reproduction suite; nonzero exit on any failure",
     )
-    p.add_argument("--jobs", type=_jobs, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -209,7 +206,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    # jobs may precede or follow the subcommand; argparse handles the global flag
     try:
         return args.func(args)
     except (LatticeError, AxiomViolationError) as exc:  # before their base ValueError

@@ -499,6 +499,8 @@ class SubdirectReport:
 # and central, and s -> e*s is a homomorphism; given associativity, Oxy = OxOy
 # says e(su) = (es)(eu).
 _CONSTANT_LAWS = tuple(map(parse_identity, ("OO = O", "Ox = xO", "Oxy = OxOy")))
+# the laws of the two factors: eS is a band, S/eS kills triple products
+_BAND_LAW, _NIL_LAW = map(parse_identity, ("xx = x", "xyz = O"))
 
 
 def subdirect_check(a: FiniteAlgebra) -> SubdirectReport:
@@ -532,9 +534,9 @@ def subdirect_check(a: FiniteAlgebra) -> SubdirectReport:
         for u in range(a.order):
             if cls[t[s][u]] != nil.table[cls[s]][cls[u]]:
                 failures.append(f"second component not a homomorphism at ({s},{u})")
-    if not satisfies(band, "xx = x"):
+    if not satisfies(band, _BAND_LAW):
         failures.append("ideal part is not a band")
-    if not satisfies(nil, "xyz = O"):
+    if not satisfies(nil, _NIL_LAW):
         failures.append("quotient does not kill triple products")
     return SubdirectReport(not failures, band, nil, failures)
 

@@ -83,19 +83,38 @@ class _SlowClock:
 
 
 @pytest.mark.parametrize(
-    "check",
-    [
-        verify.check_01_lattice_reproduction,
-        verify.check_02_non_modularity,
-        verify.check_06_decision_oracle_equivalence,
-        verify.check_10_derivation_replay,
-        verify.check_12_tree_mode_models,
-    ],
+    "number", [1, 2, 6, 10, 12], ids=lambda n: verify.NUMBERED_CHECKS[n - 1].__name__
 )
-def test_budget_overrun_fails_and_names_itself(monkeypatch, check):
+def test_budget_overrun_fails_and_names_itself(monkeypatch, number):
     monkeypatch.setattr(verify, "time", _SlowClock())
-    res = check()
-    assert not res.passed and res.detail.endswith("too slow (1000.00s)")
+    res = verify.run_check(number)
+    assert res.name.startswith(f"{number:02d} ")
+    assert not res.passed and res.detail.endswith("; too slow (1000.00s)")
+
+
+def test_checks_without_a_timed_call_are_never_too_slow(monkeypatch):
+    # 03 has no budget; 11 judges its cached census walk, not the call
+    monkeypatch.setattr(verify, "time", _SlowClock())
+    for number in (3, 11):
+        res = verify.run_check(number)
+        assert res.passed and "too slow" not in res.detail, number
+
+
+def test_checks_09_and_11_parse_nothing_after_a_warm_up(monkeypatch):
+    parsed = []
+    parse = verify.parse_identity
+
+    def counting_parse(*args):
+        parsed.append(args)
+        return parse(*args)
+
+    for module in (models, verify):
+        monkeypatch.setattr(module, "parse_identity", counting_parse)
+    for check in (verify.check_09_construction_replay, verify.check_11_subdirect_decomposition):
+        check()  # warm-up: builds any cached program or census
+        parsed.clear()
+        assert check().passed
+        assert parsed == [], check.__name__
 
 
 def test_criterion_12_tree_mode_models():

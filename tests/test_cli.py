@@ -143,14 +143,30 @@ def test_enumerate_bound(capsys):
     [
         ["--jobs", "0", "enumerate", "--order", "2", "--mode", "is"],
         ["--jobs", "-3", "enumerate", "--order", "2", "--mode", "is"],
-        ["enumerate", "--order", "2", "--mode", "is", "--jobs", "0"],
-        ["verify-paper", "--jobs", "0"],
+        ["--jobs", "0", "verify-paper"],
+        ["--jobs", "two", "verify-paper"],
     ],
 )
 def test_jobs_below_one_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert "error:" in err and "Traceback" not in err
+    assert "must be an integer of at least 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--order", "2", "--mode", "is", "--jobs", "0"],
+        ["enumerate", "--order", "2", "--mode", "is", "--jobs", "2"],
+        ["verify-paper", "--jobs", "0"],
+        ["verify-paper", "--jobs", "2"],
+    ],
+)
+def test_jobs_after_the_subcommand_is_unrecognized(capsys, argv):
+    # --jobs is a global flag only: it must precede the subcommand
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --jobs" in err and "Traceback" not in err
 
 
 def test_replay_pass_and_fail(capsys, tmp_path):
@@ -284,7 +300,7 @@ _ARGV = st.tuples(
         _command("variety-of", _slot("builtin:BxK_mod_I", "builtin:2b", _FILE)),
         _command("lattice", _slot("--dot"), _slot("hasse.dot", ".")),
         _command("enumerate", _slot("--order"), _slot("1", "2", "3"), _slot("--mode"),
-                 _slot("is", "iz"), _slot("--jobs"), _slot("1", "2")),
+                 _slot("is", "iz")),
         _command("replay", _slot(_FILE)),
     ).map(list),
     st.integers(0, 3).flatmap(lambda k: st.lists(_WORDS, min_size=1, max_size=2)

@@ -206,6 +206,37 @@ def test_subdirect_check_reports_a_failing_constant_law(monkeypatch):
     assert subdirect_check(builtin("M")).failures == ["constant law xx = O fails at {'x': 1}"]
 
 
+def test_subdirect_check_reports_a_pair_map_that_is_not_injective(monkeypatch):
+    # merging M's ab with 0 keeps a congruence, so only the pair map breaks
+    quotient_data = models._quotient_data
+
+    def merged(a, ideal):
+        kept, cls = quotient_data(a, ideal)
+        return kept, {**cls, 3: cls[4]}
+
+    monkeypatch.setattr(models, "_quotient_data", merged)
+    assert subdirect_check(builtin("M")).failures == ["pair map not injective: 3 and 4 collide"]
+
+
+def test_subdirect_check_reports_a_second_component_that_is_no_homomorphism(monkeypatch):
+    # a quotient of M whose products are all 0, though a*b, b*a and b*b are not
+    monkeypatch.setattr(models, "rees_quotient", lambda a, ideal: make_algebra([[4] * 5] * 5, 4))
+    assert subdirect_check(builtin("M")).failures == [
+        f"second component not a homomorphism at {pair}" for pair in ("(0,1)", "(1,0)", "(1,1)")
+    ]
+
+
+def test_subdirect_check_reports_an_ideal_part_that_is_no_band(monkeypatch):
+    monkeypatch.setattr(models, "subalgebra_generated", lambda a, seed: builtin("Z"))
+    assert subdirect_check(builtin("B")).failures == ["ideal part is not a band"]
+
+
+def test_subdirect_check_reports_a_quotient_that_keeps_a_triple_product(monkeypatch):
+    # B's quotient is trivial; A agrees with it on the class 0 but 0*0*0 = 0 is not O = 1
+    monkeypatch.setattr(models, "rees_quotient", lambda a, ideal: builtin("A"))
+    assert subdirect_check(builtin("B")).failures == ["quotient does not kill triple products"]
+
+
 def test_is_isomorphic():
     z = builtin("Z")
     z_swapped = make_algebra([[0, 0], [0, 0]], 0, "Zs", ["0", "a"])
