@@ -119,19 +119,19 @@ def cmd_replay(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    results = verify.run_all()
-    failed = 0
-    for res in results:
+    failed = total = 0
+    for res in verify.run_all():  # printed as made: a check that raises keeps the lines before it
         mark = "ok" if res.passed else "FAIL"
         line = f"{mark} {res.name}"
         if res.detail:
             line += f" ({res.detail})"
-        print(line)
+        print(line, flush=True)
+        total += 1
         failed += 0 if res.passed else 1
     if failed:
-        print(f"{failed} of {len(results)} checks failed")
+        print(f"{failed} of {total} checks failed")
         return 1
-    print(f"all {len(results)} checks passed")
+    print(f"all {total} checks passed")
     return 0
 
 

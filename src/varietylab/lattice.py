@@ -200,7 +200,7 @@ class FiniteLattice:
 def build_lattice() -> FiniteLattice:
     """Compute the subvariety order from generators and bases, then insist it
     reproduces the expected 16 elements and 25 covers."""
-    elems = tuple(rec.id for rec in varieties.registry())
+    elems = tuple(varieties.registry())
     leq = [[varieties.generator_leq(v, w) for w in elems] for v in elems]
     lat = FiniteLattice(elems, leq)
     if len(lat.elements) != 16:

@@ -325,7 +325,7 @@ def word_value_classes(a: FiniteAlgebra, words, letters=("x", "y", "z")) -> dict
     bytes reads each lane's product.  The prefix vectors are kept for the
     call, so each prefix is multiplied out once, whether or not it is in
     words and wherever it comes in them.  An order above ``MAX_LANE_ORDER``
-    is a ValueError."""
+    is a ValueError, and so is a symbol that is neither in letters nor O."""
     n = a.order
     if n > MAX_LANE_ORDER:
         raise ValueError(
@@ -344,14 +344,19 @@ def word_value_classes(a: FiniteAlgebra, words, letters=("x", "y", "z")) -> dict
         s = w.symbols
         vec = vectors.get(s)
         if vec is None:
-            # the longest prefix already known; a single symbol is in base
-            k = len(s) - 1
-            while k > 1 and s[:k] not in vectors:
-                k -= 1
-            vec = vectors[s[:k]]
-            for k in range(k, len(s)):
-                lanes = int.from_bytes(vec, "big") * n + packed[s[k]]
-                vec = vectors[s[:k + 1]] = lanes.to_bytes(size, "big").translate(flat)
+            try:
+                # the longest prefix already known; a single symbol is in base
+                k = len(s) - 1
+                while k > 1 and s[:k] not in vectors:
+                    k -= 1
+                vec = vectors[s[:k]]
+                for k in range(k, len(s)):
+                    lanes = int.from_bytes(vec, "big") * n + packed[s[k]]
+                    vec = vectors[s[:k + 1]] = lanes.to_bytes(size, "big").translate(flat)
+            except KeyError:  # a lookup misses only on a symbol outside base
+                bad = next(c for c in s if c not in base)
+                symbols = ", ".join(base)
+                raise ValueError(f"word {w} has symbol {bad!r}, not one of {symbols}") from None
         class_of[w] = ids.setdefault(vec, len(ids))
     return class_of
 
@@ -429,6 +434,14 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     return make_algebra(table, a.distinguished * nb + b.distinguished, name, names)
 
 
+def _induced(a: FiniteAlgebra, kept, index, name) -> FiniteAlgebra:
+    """The algebra on kept, in its order, with each product and the constant
+    read through index (a's element -> new element) and names following kept."""
+    table = [[index[a.table[u][v]] for v in kept] for u in kept]
+    names = None if a.element_names is None else tuple(a.element_names[u] for u in kept)
+    return make_algebra(table, index[a.distinguished], name, names)
+
+
 def _quotient_data(a: FiniteAlgebra, ideal: frozenset):
     """Validate the ideal and return (kept original indices, class map old->new)."""
     if not ideal:
@@ -455,14 +468,8 @@ def _quotient_data(a: FiniteAlgebra, ideal: frozenset):
 def rees_quotient(a: FiniteAlgebra, ideal) -> FiniteAlgebra:
     """Collapse an ideal to a single zero class; class names use the smallest
     original index as representative."""
-    ideal = frozenset(ideal)
-    kept, cls = _quotient_data(a, ideal)
-    table = [[cls[a.table[u][v]] for v in kept] for u in kept]
-    names = None
-    if a.element_names is not None:
-        names = tuple(a.element_names[old] for old in kept)
-    name = f"{a.name}/I" if a.name else None
-    return make_algebra(table, cls[a.distinguished], name, names)
+    kept, cls = _quotient_data(a, frozenset(ideal))
+    return _induced(a, kept, cls, f"{a.name}/I" if a.name else None)
 
 
 def subalgebra_generated(a: FiniteAlgebra, seed) -> FiniteAlgebra:
@@ -474,12 +481,7 @@ def subalgebra_generated(a: FiniteAlgebra, seed) -> FiniteAlgebra:
             break
         elems |= new
     kept = sorted(elems)
-    newindex = {old: new for new, old in enumerate(kept)}
-    table = [[newindex[a.table[u][v]] for v in kept] for u in kept]
-    names = None
-    if a.element_names is not None:
-        names = tuple(a.element_names[old] for old in kept)
-    return make_algebra(table, newindex[a.distinguished], None, names)
+    return _induced(a, kept, {old: new for new, old in enumerate(kept)}, None)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import models
 from .terms import (
@@ -56,7 +57,6 @@ class Variety(str, Enum):
 
 @dataclass(frozen=True)
 class VarietyRecord:
-    id: Variety
     basis: tuple
     generators: tuple
 
@@ -83,9 +83,9 @@ _TABLE = {
 
 
 @lru_cache(maxsize=1)
-def registry() -> tuple:
-    """All sixteen records.  Each generator is checked against its basis once."""
-    records = []
+def registry() -> MappingProxyType:
+    """Each variety's record, read-only; each generator is checked against its basis once."""
+    records = {}
     for v in Variety:
         _, generators, texts = _TABLE[v]
         basis = tuple(parse_identity(text) for text in texts)
@@ -93,8 +93,8 @@ def registry() -> tuple:
         if failure is not None:
             gname, ident, witness = failure
             raise AssertionError(f"generator {gname} violates basis of {v}: {ident} at {witness}")
-        records.append(VarietyRecord(v, basis, generators))
-    return tuple(records)
+        records[v] = VarietyRecord(basis, generators)
+    return MappingProxyType(records)
 
 
 def basis_failure(generators, basis):
@@ -109,12 +109,11 @@ def basis_failure(generators, basis):
     return None
 
 
-@lru_cache(maxsize=None)
 def record(v: Variety) -> VarietyRecord:
-    for rec in registry():
-        if rec.id is v:
-            return rec
-    raise ValueError(f"unknown variety {v!r}")
+    try:
+        return registry()[v]
+    except KeyError:
+        raise ValueError(f"unknown variety {v!r}") from None
 
 
 def variety_by_name(name: str) -> Variety:
@@ -244,7 +243,7 @@ def variety_of(a: models.FiniteAlgebra) -> Variety:
             holds[ident] = models.satisfies(a, ident).holds
         return holds[ident]
 
-    sat = [rec.id for rec in registry() if all(map(sat_one, rec.basis))]
+    sat = [v for v, rec in registry().items() if all(map(sat_one, rec.basis))]
     least = [v for v in sat if all(generator_leq(v, w) for w in sat)]
     if len(least) != 1:
         raise RuntimeError(f"no unique least variety among {sat}")

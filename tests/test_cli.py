@@ -1,3 +1,4 @@
+import shlex
 from pathlib import Path
 
 import pytest
@@ -5,7 +6,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from varietylab import cli, verify
 from varietylab.derivations import render_script, shipped_scripts
+from varietylab.lattice import LatticeError
 from varietylab.models import builtin, render_algebra
+
+ROOT = Path(__file__).resolve().parent.parent
+PINNED = ROOT / "bench" / "verify_paper.txt"
 
 
 def run(capsys, argv):
@@ -126,6 +131,30 @@ def test_lattice_report(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def _readme_cli_examples():
+    """(argv, comment) of each `varietylab ...  # text` line in README's CLI
+    block whose command reads no input file, with a trailing " ..." dropped
+    from the comment."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, sep, comment = line.partition(" # ")
+        argv = shlex.split(command)[1:]
+        if sep and not any(arg.endswith((".alg", ".script")) for arg in argv):
+            examples.append((argv, comment.strip().removesuffix(" ...")))
+    return examples
+
+
+def test_readme_cli_examples_print_what_their_comments_say(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # `lattice --dot hasse.dot` writes its file here
+    examples = _readme_cli_examples()
+    assert len(examples) == 6
+    for argv, comment in examples:
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out.splitlines()[0].startswith(comment), (argv, out)
+
+
 def test_enumerate_command(capsys):
     code, out, _ = run(capsys, ["enumerate", "--order", "2", "--mode", "is"])
     assert code == 0
@@ -217,10 +246,25 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_paper_stdout_is_pinned(capsys, monkeypatch, jobs):
     monkeypatch.delenv("VARIETYLAB_SEED", raising=False)
-    expected = Path(__file__).resolve().parent.parent / "bench" / "verify_paper.txt"
     code, out, _ = run(capsys, ["--jobs", jobs, "verify-paper"])
     assert code == 0
-    assert out == expected.read_text(encoding="utf-8")
+    assert out == PINNED.read_text(encoding="utf-8")
+
+
+def test_verify_paper_keeps_the_lines_of_the_checks_before_one_that_raises(capsys, monkeypatch):
+    monkeypatch.delenv("VARIETYLAB_SEED", raising=False)
+
+    def planted():
+        raise LatticeError("planted in check 09")
+
+    checks = list(verify.NUMBERED_CHECKS)
+    checks[8] = planted
+    monkeypatch.setattr(verify, "NUMBERED_CHECKS", tuple(checks))
+    code, out, err = run(capsys, ["verify-paper"])
+    assert code == 1
+    assert out.splitlines() == PINNED.read_text(encoding="utf-8").splitlines()[:8]
+    assert out.endswith("\n")
+    assert err.startswith("verification failure:")
 
 
 @pytest.mark.parametrize("seed", ["abc", "1e3"])

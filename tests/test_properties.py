@@ -153,6 +153,14 @@ def test_word_value_classes_refuse_orders_above_the_lane_bound():
         word_value_classes(a, (Word("x"),))
 
 
+@pytest.mark.parametrize("text", ["w", "xw"])
+def test_word_value_classes_name_a_symbol_outside_the_letters(text):
+    # w alone misses the one-symbol lookup, xw the packed column of w
+    with pytest.raises(ValueError) as exc:
+        word_value_classes(builtin("A"), (Word("x"), Word(text)))
+    assert str(exc.value) == f"word {text} has symbol 'w', not one of x, y, z, O"
+
+
 def reference_satisfies(a, ident):
     """One evaluate call per side and assignment, letters in sorted order."""
     letters = sorted(set(f"{ident.lhs}{ident.rhs}") & set("abcdefghijklmnopqrstuvwxyz"))

@@ -41,7 +41,7 @@ def ident(text):
 
 
 def _clear_registry_caches():
-    for cached in (varieties.registry, varieties.record, varieties.separation):
+    for cached in (varieties.registry, varieties.separation):
         cached.cache_clear()
 
 
@@ -69,6 +69,16 @@ def test_registry_size_and_examples():
     assert record(Variety.N).generators == ("L", "M")
     assert record(Variety.IS).basis == ()
     assert record(Variety.T).basis and str(record(Variety.T).basis[0]) == "x = O"
+
+
+def test_registry_is_a_read_only_mapping_that_record_reads():
+    recs = registry()
+    assert list(recs) == list(Variety)
+    with pytest.raises(TypeError):
+        recs[Variety.T] = recs[Variety.IS]
+    assert all(record(v) is rec for v, rec in recs.items())
+    with pytest.raises(ValueError, match="unknown variety 'XY'"):
+        record("XY")
 
 
 def test_join_generators_are_component_unions():
@@ -201,8 +211,8 @@ def test_variety_of():
 def _variety_of_per_variety_loop(a):
     # the reference: every basis identity of every variety evaluated anew
     sat = [
-        rec.id
-        for rec in registry()
+        v
+        for v, rec in registry().items()
         if all(models.satisfies(a, i).holds for i in rec.basis)
     ]
     (least,) = [v for v in sat if all(generator_leq(v, w) for w in sat)]
