@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from .terms import (
     AXIOM_TEXTS,
@@ -21,6 +22,7 @@ from .terms import (
     Identity,
     Mode,
     TreeTerm,
+    Var,
     Word,
     numbered_lines,
     parse_identity,
@@ -60,30 +62,30 @@ def _axioms(mode: Mode) -> tuple:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Step:
     label: str
     direction: Direction
     position: object  # (i, j) factor range in IS, path string in IZ ('e' = root)
-    substitution: dict
+    substitution: MappingProxyType  # letter -> image; read-only once parsed
     result: object  # claimed Word or TreeTerm after the step
 
 
-@dataclass
+@dataclass(frozen=True)
 class Script:
     mode: Mode
     name: str
-    premises: list
+    premises: tuple
     goal: Identity
     start: object
-    steps: list
+    steps: tuple
 
 
 class StepError(Exception):
     """A step that cannot be applied: bad label, bad position, or no match."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplayResult:
     passed: bool
     step: int | None = None
@@ -97,56 +99,53 @@ class ReplayResult:
 # Applying steps
 
 
-def _term_at_path(t: TreeTerm, path: str) -> TreeTerm:
-    node = t
-    for ch in path:
+def _rewrite_at(term: TreeTerm, path: str, rewrite) -> TreeTerm:
+    """Rebuild term around rewrite(subterm at path), walking the path once."""
+
+    def walk(node, k):
+        if k == len(path):
+            return rewrite(node)
         if not isinstance(node, Arrow):
             raise StepError(f"path {path!r} leaves the term")
-        node = node.left if ch == "L" else node.right
-    return node
+        if path[k] == "L":
+            return Arrow(walk(node.left, k + 1), node.right)
+        return Arrow(node.left, walk(node.right, k + 1))
+
+    return walk(term, 0)
 
 
-def _replace_at_path(t: TreeTerm, path: str, new: TreeTerm) -> TreeTerm:
-    if not path:
-        return new
-    if not isinstance(t, Arrow):
-        raise StepError(f"path {path!r} leaves the term")
-    if path[0] == "L":
-        return Arrow(_replace_at_path(t.left, path[1:], new), t.right)
-    return Arrow(t.left, _replace_at_path(t.right, path[1:], new))
-
-
-def apply_step(term, step: Step, rules: dict, mode: Mode):
-    """Rewrite ``term`` by the named rule at the given position.  The addressed
-    fragment must equal the substituted source side exactly."""
+def apply_step(term, step: Step, rules: dict):
+    """Rewrite ``term``, a Word or a tree term, by the named rule at the given
+    position.  The addressed fragment must equal the substituted source side
+    exactly."""
     rule = rules.get(step.label)
     if rule is None:
         raise StepError(f"unknown rule label {step.label!r}")
     src = rule.identity.lhs if step.direction is Direction.L2R else rule.identity.rhs
     dst = rule.identity.rhs if step.direction is Direction.L2R else rule.identity.lhs
-    if mode is Mode.IS:
-        i, j = step.position
-        if not (1 <= i <= j <= len(term.symbols)):
-            raise StepError(f"range {i}..{j} outside word of length {len(term.symbols)}")
-        expected = substitute(src, step.substitution)
-        found = Word(term.symbols[i - 1:j])
+    flat = isinstance(term, Word)
+    sub = substitute if flat else substitute_term
+
+    def rewrite(found):
+        expected = sub(src, step.substitution)
         if found != expected:
-            raise StepError(f"no match at {i}..{j}: expected {expected}, found {found}")
-        replacement = substitute(dst, step.substitution)
-        return Word(term.symbols[: i - 1] + replacement.symbols + term.symbols[j:])
-    path = "" if step.position == "e" else step.position
-    found = _term_at_path(term, path)
-    expected = substitute_term(src, step.substitution)
-    if found != expected:
-        raise StepError(f"no match at {step.position}: expected {expected}, found {found}")
-    replacement = substitute_term(dst, step.substitution)
-    return _replace_at_path(term, path, replacement)
+            where = "{}..{}".format(*step.position) if flat else step.position
+            raise StepError(f"no match at {where}: expected {expected}, found {found}")
+        return sub(dst, step.substitution)
+
+    if not flat:
+        return _rewrite_at(term, "" if step.position == "e" else step.position, rewrite)
+    i, j = step.position
+    s = term.symbols
+    if not (1 <= i <= j <= len(s)):
+        raise StepError(f"range {i}..{j} outside word of length {len(s)}")
+    return Word(s[: i - 1] + rewrite(Word(s[i - 1:j])).symbols + s[j:])
 
 
 def replay(script: Script) -> ReplayResult:
     """PASS iff every step checks and the chain joins the goal's two sides."""
     rules = {}
-    for rule in _axioms(script.mode) + tuple(script.premises):
+    for rule in _axioms(script.mode) + script.premises:
         if rule.label in rules:
             return ReplayResult(False, None, f"duplicate rule label {rule.label!r}")
         rules[rule.label] = rule
@@ -157,7 +156,7 @@ def replay(script: Script) -> ReplayResult:
         )
     for idx, step in enumerate(script.steps):
         try:
-            nxt = apply_step(current, step, rules, script.mode)
+            nxt = apply_step(current, step, rules)
         except StepError as exc:
             return ReplayResult(False, idx, str(exc))
         if nxt != step.result:
@@ -233,7 +232,7 @@ def parse_script(text: str) -> Script:
     except ValueError as exc:
         number = numbered[pos][0] if pos < len(lines) else end
         raise ValueError(f"{exc} (line {number})") from None
-    return Script(mode, name, premises, goal, start, steps)
+    return Script(mode, name, tuple(premises), goal, start, tuple(steps))
 
 
 def _parse_step(line: str, mode: Mode) -> Step:
@@ -254,12 +253,12 @@ def _parse_step(line: str, mode: Mode) -> Step:
     if sub_text.strip():
         for binding in sub_text.split(","):
             var, _, image = binding.partition("=")
-            var = var.strip()
-            if not var:
-                raise ValueError(f"bad binding in {line!r}")
+            var = Var(var.strip()).name  # one letter a-z, or a ValueError
+            if var in substitution:
+                raise ValueError(f"letter {var!r} bound twice in {line!r}")
             substitution[var] = parse_side(image.strip(), mode)
     result = parse_side(result_text, mode)
-    return Step(label, Direction(direction), position, substitution, result)
+    return Step(label, Direction(direction), position, MappingProxyType(substitution), result)
 
 
 def render_script(script: Script) -> str:

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from varietylab import enumeration, models, verify
-from varietylab.terms import Mode
+from varietylab.terms import Mode, parse_identity
 
 
 def report(result):
@@ -100,7 +100,7 @@ def test_checks_without_a_timed_call_are_never_too_slow(monkeypatch):
         assert res.passed and "too slow" not in res.detail, number
 
 
-def test_checks_09_and_11_parse_nothing_after_a_warm_up(monkeypatch):
+def test_checks_09_11_and_12_parse_nothing_after_a_warm_up(monkeypatch):
     parsed = []
     parse = verify.parse_identity
 
@@ -110,7 +110,11 @@ def test_checks_09_and_11_parse_nothing_after_a_warm_up(monkeypatch):
 
     for module in (models, verify):
         monkeypatch.setattr(module, "parse_identity", counting_parse)
-    for check in (verify.check_09_construction_replay, verify.check_11_subdirect_decomposition):
+    for check in (
+        verify.check_09_construction_replay,
+        verify.check_11_subdirect_decomposition,
+        verify.check_12_tree_mode_models,
+    ):
         check()  # warm-up: builds any cached program or census
         parsed.clear()
         assert check().passed
@@ -127,7 +131,8 @@ def test_criterion_12_theorems_hold_at_order_four():
 
 
 def test_criterion_12_reports_a_false_theorem(monkeypatch):
-    monkeypatch.setattr(verify, "IZ_THEOREMS", verify.IZ_THEOREMS + ("x = 0",))
+    false_law = parse_identity("x = 0", Mode.IZ)
+    monkeypatch.setattr(verify, "IZ_THEOREMS", verify.IZ_THEOREMS + (false_law,))
     total, problems = verify.tree_mode_theorems((2,))
     assert total == 3 and problems and all(p == "x = 0 fails at order 2" for p in problems)
 

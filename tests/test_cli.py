@@ -212,6 +212,18 @@ def test_replay_pass_and_fail(capsys, tmp_path):
     assert code == 1 and out.startswith("FAIL")
 
 
+def test_replay_rejects_a_binding_of_a_non_letter(capsys, tmp_path):
+    # no rule mentions 1 or Q, so only the parse can reject these bindings
+    text = render_script(shipped_scripts()[2]).replace(
+        "sub {x=x, y=y, z=z}", "sub {x=x, y=y, z=z, 1=O, Q=x, x=x}", 1
+    )
+    path = tmp_path / "bad.script"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, ["replay", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: invalid variable name '1' (line 7)\n"
+
+
 def test_replay_rejects_a_position_of_the_wrong_kind(capsys, tmp_path):
     # flat mode takes a factor range, tree mode a root path over L and R
     scripts = {

@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import re
 
 import pytest
@@ -25,13 +25,11 @@ from varietylab.enumeration import enumerate_algebras
 from varietylab.verify import corrupt_step_substitution
 from varietylab.terms import (
     AXIOM_TEXTS,
-    Arrow,
     Mode,
     Word,
     ZERO,
     parse_identity,
     parse_term,
-    parse_word,
 )
 
 # scripts that are well formed but for a position of the other mode's kind:
@@ -53,38 +51,40 @@ def test_apply_step_is_examples():
     rules = rules_for(Mode.IS)
     # literal shrink of three constants
     step = Step("A2", Direction.L2R, (2, 4), {}, Word("xO"))
-    assert apply_step(Word("xOOO"), step, rules, Mode.IS) == Word("xO")
+    assert apply_step(Word("xOOO"), step, rules) == Word("xO")
     # unwrap the defining identity across the whole word
     sub = {v: Word(v) for v in "xyz"}
     step = Step("A1", Direction.R2L, (1, 7), sub, Word("xyz"))
-    assert apply_step(Word("zOxyzOO"), step, rules, Mode.IS) == Word("xyz")
+    assert apply_step(Word("zOxyzOO"), step, rules) == Word("xyz")
     # needs three constants, only two present
     step = Step("A2", Direction.L2R, (1, 3), {}, Word("O"))
     with pytest.raises(StepError):
-        apply_step(Word("xOO"), step, rules, Mode.IS)
+        apply_step(Word("xOO"), step, rules)
 
 
 def test_apply_step_error_cases():
     rules = rules_for(Mode.IS)
-    with pytest.raises(StepError, match="unknown rule"):
-        apply_step(Word("xx"), Step("nope", Direction.L2R, (1, 1), {}, Word("x")), rules, Mode.IS)
-    with pytest.raises(StepError, match="outside word"):
-        apply_step(Word("xx"), Step("A2", Direction.L2R, (1, 9), {}, Word("x")), rules, Mode.IS)
+    with pytest.raises(StepError, match=r"^unknown rule label 'nope'$"):
+        apply_step(Word("xx"), Step("nope", Direction.L2R, (1, 1), {}, Word("x")), rules)
+    with pytest.raises(StepError, match=r"^range 1\.\.9 outside word of length 2$"):
+        apply_step(Word("xx"), Step("A2", Direction.L2R, (1, 9), {}, Word("x")), rules)
+    with pytest.raises(StepError, match=r"^no match at 1\.\.2: expected OOO, found xx$"):
+        apply_step(Word("xx"), Step("A2", Direction.L2R, (1, 2), {}, Word("x")), rules)
     iz_rules = rules_for(Mode.IZ)
-    with pytest.raises(StepError, match="leaves the term"):
-        apply_step(
-            parse_term("0'"),
-            Step("A2", Direction.L2R, "LLL", {}, ZERO),
-            iz_rules,
-            Mode.IZ,
-        )
+    with pytest.raises(StepError, match=r"^path 'LLL' leaves the term$"):
+        apply_step(parse_term("0'"), Step("A2", Direction.L2R, "LLL", {}, ZERO), iz_rules)
+    with pytest.raises(StepError, match=r"^no match at R: expected 0'', found 0$"):
+        apply_step(parse_term("0'"), Step("A2", Direction.L2R, "R", {}, ZERO), iz_rules)
 
 
 def test_apply_step_iz():
     rules = rules_for(Mode.IZ)
     term = parse_term("(0''>x)")
     step = Step("A2", Direction.L2R, "L", {}, parse_term("(0>x)"))
-    assert apply_step(term, step, rules, Mode.IZ) == parse_term("(0>x)")
+    assert apply_step(term, step, rules) == parse_term("(0>x)")
+    # the root, written e, rewrites the whole term
+    step = Step("A2", Direction.R2L, "e", {}, parse_term("0''"))
+    assert apply_step(ZERO, step, rules) == parse_term("0''")
 
 
 def test_all_shipped_scripts_pass():
@@ -103,31 +103,9 @@ def test_shipped_proven_rules_cite_earlier_goals():
         seen.append((script.mode, script.goal))
 
 
-def corrupt(script, idx):
-    bad = copy.deepcopy(script)
-    step = bad.steps[idx]
-    var = sorted(step.substitution)[0]
-    image = step.substitution[var]
-    if script.mode is Mode.IS:
-        step.substitution[var] = image + Word("O")
-    else:
-        step.substitution[var] = Arrow(image, ZERO)
-    return bad
-
-
-def test_mutation_of_any_substitution_fails():
-    for script in shipped_scripts():
-        for idx, step in enumerate(script.steps):
-            if not step.substitution:
-                continue
-            result = replay(corrupt(script, idx))
-            assert not result.passed, (script.name, idx)
-            assert result.step == idx
-
-
 def test_corrupting_every_step_leaves_the_cached_scripts_unchanged():
     scripts = shipped_scripts()
-    before = copy.deepcopy(scripts)
+    before = [render_script(script) for script in scripts]
     mutations = 0
     for script in scripts:
         for idx, step in enumerate(script.steps):
@@ -137,27 +115,42 @@ def test_corrupting_every_step_leaves_the_cached_scripts_unchanged():
             assert bad.steps[idx] != step
             others = script.steps[:idx] + script.steps[idx + 1:]
             assert bad.steps[:idx] + bad.steps[idx + 1:] == others
-            assert not replay(bad).passed, (script.name, idx)
+            result = replay(bad)
+            assert not result.passed and result.step == idx, (script.name, idx)
             mutations += 1
     assert mutations == 59
-    assert shipped_scripts() is scripts and scripts == before
+    assert shipped_scripts() is scripts
+    assert [render_script(script) for script in scripts] == before
     assert all(replay(script).passed for script in scripts)
 
 
+def test_shipped_scripts_are_frozen_values():
+    script = shipped_scripts()[2]
+    step = script.steps[0]
+    assert isinstance(script.premises, tuple) and isinstance(script.steps, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        script.start = Word("OOO")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.result = Word("OOO")
+    with pytest.raises(TypeError):
+        step.substitution["x"] = Word("O")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        replay(script).passed = False
+    assert replay(script)
+
+
 def test_corrupted_claimed_result_fails():
-    script = copy.deepcopy(shipped_scripts()[0])
-    script.steps[2].result = Word("OOOOOOO")
-    result = replay(script)
+    base = shipped_scripts()[0]
+    steps = list(base.steps)
+    steps[2] = dataclasses.replace(steps[2], result=Word("OOOOOOO"))
+    result = replay(dataclasses.replace(base, steps=tuple(steps)))
     assert not result.passed and result.step == 2
 
 
 def test_bad_start_and_unfinished_chain_fail():
     base = shipped_scripts()[0]
-    wrong_start = copy.deepcopy(base)
-    wrong_start.start = Word("OOO")
-    assert not replay(wrong_start).passed
-    truncated = copy.deepcopy(base)
-    truncated.steps = truncated.steps[:-1]
+    assert not replay(dataclasses.replace(base, start=Word("OOO"))).passed
+    truncated = dataclasses.replace(base, steps=base.steps[:-1])
     result = replay(truncated)
     assert not result.passed and result.step == len(truncated.steps)
 
@@ -228,6 +221,25 @@ def test_parse_script_names_the_line():
         parse_script("mode: is\nname: x\npremises:\n  a: x = x\n  b: y = y\n\n")
 
 
+@pytest.mark.parametrize(
+    "bindings, error",
+    [
+        ("x=x, y=y, z=z, 1=O", "invalid variable name '1'"),
+        ("O=x, x=x, y=y, z=z", "invalid variable name 'O'"),
+        ("xy=x, z=z", "invalid variable name 'xy'"),
+        ("x=x, x=y, y=y, z=z", "letter 'x' bound twice in 'step A1 L2R at 1..3 sub {x=x, x=y"),
+    ],
+    ids=["digit", "constant", "two-letters", "twice"],
+)
+def test_parse_script_rejects_a_bad_binding(bindings, error):
+    # each binding binds one letter a-z, once; line 7 is omega-tail's first step
+    text = render_script(shipped_scripts()[2])
+    bad = text.replace("sub {x=x, y=y, z=z}", f"sub {{{bindings}}}", 1)
+    assert bad != text and parse_script(text)
+    with pytest.raises(ValueError, match=re.escape(error) + r".* \(line 7\)$"):
+        parse_script(bad)
+
+
 def test_parse_script_rejects_a_position_of_the_wrong_kind():
     for head, step in WRONG_KIND_STEPS.items():
         with pytest.raises(ValueError, match=re.escape(repr(step))):
@@ -241,7 +253,7 @@ def test_parse_script_rejects_a_position_of_the_wrong_kind():
 
 def test_duplicate_labels_rejected():
     rule = Rule("r", parse_identity("xx = x"), Kind.PREMISE)
-    script = Script(Mode.IS, "dup", [rule, rule], parse_identity("x = x"), Word("x"), [])
+    script = Script(Mode.IS, "dup", (rule, rule), parse_identity("x = x"), Word("x"), ())
     result = replay(script)
     assert not result.passed and "duplicate" in result.message
 

@@ -111,8 +111,7 @@ def test_every_enumerated_algebra_passes_axioms():
 
 
 def test_builtins_appear_at_their_order():
-    # orders within the enumeration bound; M (order 5) is out of reach
-    expected = {1: ("trivial",), 2: ("A", "Z"), 3: ("B",), 4: ("K", "L")}
+    expected = {1: ("trivial",), 2: ("A", "Z"), 3: ("B",), 4: ("K", "L"), 5: ("M",)}
     for order, names in expected.items():
         forms = {canonical_form(a) for a in enumerate_algebras(order, Mode.IS).algebras}
         for name in names:
