@@ -24,6 +24,7 @@ from .terms import (
     TreeTerm,
     Var,
     Word,
+    identity_letters,
     numbered_lines,
     parse_identity,
     parse_side,
@@ -82,7 +83,7 @@ class Script:
 
 
 class StepError(Exception):
-    """A step that cannot be applied: bad label, bad position, or no match."""
+    """A step that cannot be applied: bad label or binding, bad position, or no match."""
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,14 @@ def _rewrite_at(term: TreeTerm, path: str, rewrite) -> TreeTerm:
 
 def apply_step(term, step: Step, rules: dict):
     """Rewrite ``term``, a Word or a tree term, by the named rule at the given
-    position.  The addressed fragment must equal the substituted source side
-    exactly."""
+    position.  The substitution may bind only letters of the rule, and the
+    addressed fragment must equal the substituted source side exactly."""
     rule = rules.get(step.label)
     if rule is None:
         raise StepError(f"unknown rule label {step.label!r}")
+    stray = set(step.substitution).difference(identity_letters(rule.identity))
+    if stray:
+        raise StepError(f"rule {step.label!r} has no letter {min(stray)!r}")
     src = rule.identity.lhs if step.direction is Direction.L2R else rule.identity.rhs
     dst = rule.identity.rhs if step.direction is Direction.L2R else rule.identity.lhs
     flat = isinstance(term, Word)

@@ -61,10 +61,9 @@ from .terms import (
     Var,
     Word,
     Zero,
-    content,
+    identity_letters,
     numbered_lines,
     parse_identity,
-    term_letters,
 )
 
 
@@ -181,14 +180,6 @@ class SatResult:
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def identity_letters(ident: Identity) -> tuple:
-    if ident.mode is Mode.IS:
-        letters = content(ident.lhs) | content(ident.rhs)
-    else:
-        letters = term_letters(ident.lhs) | term_letters(ident.rhs)
-    return tuple(sorted(letters))
 
 
 def _compile(ident: Identity, letters: tuple) -> tuple:

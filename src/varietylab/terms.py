@@ -40,10 +40,11 @@ AXIOM_TEXTS = {
 
 
 class ParseError(ValueError):
-    """Rejected input, carrying the byte offset of the offending character."""
+    """Rejected input: a message and the byte offset of the offending character."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -331,6 +332,12 @@ class Identity:
         return f"{self.lhs} = {self.rhs}"
 
 
+def identity_letters(ident: Identity) -> tuple:
+    """The sorted letters of both sides of ident, in either syntax."""
+    letters = content if ident.mode is Mode.IS else term_letters
+    return tuple(sorted(letters(ident.lhs) | letters(ident.rhs)))
+
+
 def parse_side(text: str, mode: Mode):
     """Parse one side of an identity: a word in associative mode, a tree
     term in tree mode."""
@@ -350,5 +357,5 @@ def parse_identity(text: str, mode: Mode = Mode.IS) -> Identity:
     try:
         rhs = parse_side(text[eq + 1:], mode)
     except ParseError as exc:
-        raise ParseError(str(exc).rsplit(" (offset", 1)[0], exc.offset + eq + 1) from None
+        raise ParseError(exc.message, exc.offset + eq + 1) from None
     return Identity(lhs, rhs, mode)

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from varietylab import enumeration, models, verify
+from varietylab import enumeration, lattice, models, verify
 from varietylab.terms import Mode, parse_identity
 
 
@@ -21,6 +21,13 @@ def report(result):
 
 def test_criterion_01_lattice_reproduction():
     report(verify.check_01_lattice_reproduction())
+
+
+def test_criterion_01_reports_the_lattice_builders_verdict(monkeypatch):
+    covers = [(v, w) for v, w in lattice.EXPECTED_COVERS if (str(v), str(w)) != ("B+K", "IS")]
+    monkeypatch.setattr(lattice, "EXPECTED_COVERS", tuple(covers))
+    result = verify.check_01_lattice_reproduction()
+    assert not result.passed and result.detail == "unexpected cover B+K < IS"
 
 
 def test_criterion_02_non_modularity():
@@ -131,8 +138,8 @@ def test_criterion_12_theorems_hold_at_order_four():
 
 
 def test_criterion_12_reports_a_false_theorem(monkeypatch):
-    false_law = parse_identity("x = 0", Mode.IZ)
-    monkeypatch.setattr(verify, "IZ_THEOREMS", verify.IZ_THEOREMS + (false_law,))
+    theorems = verify.iz_theorems() + (parse_identity("x = 0", Mode.IZ),)
+    monkeypatch.setattr(verify, "iz_theorems", lambda: theorems)
     total, problems = verify.tree_mode_theorems((2,))
     assert total == 3 and problems and all(p == "x = 0 fails at order 2" for p in problems)
 

@@ -57,6 +57,10 @@ def test_oracle_multiple_and_file(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "builtin:B: HOLDS"
     assert lines[1].endswith("HOLDS")
+    # a table file names no elements: a witness shows their numbers
+    path.write_text("size: 2\nomega: 0\n0 0\n1 1\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["oracle", str(path), "xy = yx"])
+    assert code == 0 and out == "FAILS witness x=0 y=1\n"
 
 
 def test_oracle_iz_mode(capsys):
@@ -75,6 +79,9 @@ def test_oracle_letter_free_failure_has_no_witness(capsys):
 def test_oracle_missing_algebra(capsys, tmp_path):
     code, _, err = run(capsys, ["oracle", "builtin:nope", "x = x"])
     assert code == 2 and "unknown builtin" in err
+    code, out, err = run(capsys, ["oracle", "xy = yx"])
+    assert code == 2 and out == ""
+    assert err == "error: oracle needs at least one algebra and an identity\n"
     # a directory is an unreadable algebra file, not a crash
     for argv in (["oracle", str(tmp_path), "x = x"], ["variety-of", str(tmp_path)]):
         code, _, err = run(capsys, argv)
@@ -211,6 +218,14 @@ def test_replay_pass_and_fail(capsys, tmp_path):
     code, out, _ = run(capsys, ["replay", str(bad)])
     assert code == 1 and out.startswith("FAIL")
 
+    # a binding of a letter that the step's rule does not contain
+    stray_text = render_script(script).replace(
+        "sub {x=x, y=y, z=z}", "sub {q=xx, x=x, y=y, z=z}", 1
+    )
+    bad.write_text(stray_text, encoding="utf-8")
+    code, out, _ = run(capsys, ["replay", str(bad)])
+    assert code == 1 and out == "FAIL omega-tail at step 0: rule 'A1' has no letter 'q'\n"
+
 
 def test_replay_rejects_a_binding_of_a_non_letter(capsys, tmp_path):
     # no rule mentions 1 or Q, so only the parse can reject these bindings
@@ -279,6 +294,18 @@ def test_verify_paper_keeps_the_lines_of_the_checks_before_one_that_raises(capsy
     assert err.startswith("verification failure:")
 
 
+def test_verify_paper_counts_its_failed_checks(capsys, monkeypatch):
+    monkeypatch.delenv("VARIETYLAB_SEED", raising=False)
+    checks = list(verify.NUMBERED_CHECKS)
+    checks[4] = lambda: verify.CheckResult("atoms", False, "atoms=planted")
+    monkeypatch.setattr(verify, "NUMBERED_CHECKS", tuple(checks))
+    code, out, _ = run(capsys, ["verify-paper"])
+    expected = PINNED.read_text(encoding="utf-8").splitlines()
+    expected[4] = "FAIL 05 atoms (atoms=planted)"
+    expected[-1] = "1 of 20 checks failed"
+    assert code == 1 and out.splitlines() == expected
+
+
 @pytest.mark.parametrize("seed", ["abc", "1e3"])
 def test_verify_paper_names_a_seed_that_is_no_integer(capsys, monkeypatch, seed):
     monkeypatch.setenv("VARIETYLAB_SEED", seed)
@@ -301,12 +328,25 @@ def test_parse_errors_name_their_line(capsys, tmp_path):
     code, out, err = run(capsys, ["oracle", str(algebra), "x = x"])
     assert code == 2 and out == ""
     assert err == "error: row '1 1 1' does not have 2 entries (line 5)\n"
+    algebra.write_text("size: 0\nomega: 0\n", encoding="utf-8")
+    code, out, err = run(capsys, ["oracle", str(algebra), "x = x"])
+    assert code == 2 and out == ""
+    assert err == "error: algebras have at least one element (line 1)\n"
     script = tmp_path / "bad.script"
     script.write_text("mode: is\nname: x\ngoal: x = x\n# c\nstart: x\nstep ? \n",
                       encoding="utf-8")
     code, out, err = run(capsys, ["replay", str(script)])
     assert code == 2 and out == ""
     assert err == "error: bad step line 'step ?' (line 6)\n"
+    for text, error in (
+        ("premises: a: x = x\n", "premises go on their own lines (line 3)"),
+        ("premises:\nnocolon\n", "bad premise line 'nocolon' (line 4)"),
+    ):
+        script.write_text(f"mode: is\nname: x\n{text}goal: x = x\nstart: x\n",
+                          encoding="utf-8")
+        code, out, err = run(capsys, ["replay", str(script)])
+        assert code == 2 and out == ""
+        assert err == f"error: {error}\n"
     # premises that run to the end of the file: an error, not an IndexError
     script.write_text("mode: is\nname: x\npremises:\n  a: x = x\n  b: y = y\n",
                       encoding="utf-8")

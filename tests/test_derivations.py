@@ -147,6 +147,15 @@ def test_corrupted_claimed_result_fails():
     assert not result.passed and result.step == 2
 
 
+def test_a_binding_of_a_letter_the_rule_lacks_fails_its_step():
+    text = render_script(shipped_scripts()[2]).replace(
+        "sub {x=x, y=y, z=z}", "sub {q=xx, x=x, y=y, z=z}", 1
+    )
+    result = replay(parse_script(text))
+    assert not result.passed and result.step == 0
+    assert result.message == "rule 'A1' has no letter 'q'"
+
+
 def test_bad_start_and_unfinished_chain_fail():
     base = shipped_scripts()[0]
     assert not replay(dataclasses.replace(base, start=Word("OOO"))).passed

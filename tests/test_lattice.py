@@ -208,6 +208,7 @@ def test_zero_distributivity(lat):
     assert is_zero_distributive(lat)[0]
     assert find_n5(PENTAGON) is not None
     assert is_zero_distributive(PENTAGON)[0]
+    assert is_zero_distributive(M3) == (False, ("a", "b", "c"))
     two = FiniteLattice.from_cover_pairs(("bot", "top"), (("bot", "top"),))
     assert is_zero_distributive(two)[0]
 

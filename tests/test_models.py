@@ -169,6 +169,11 @@ def test_rees_quotient_rejects_non_ideal():
         rees_quotient(k, {0})  # {a} is not closed: a*b = ab escapes
     with pytest.raises(ValueError):
         rees_quotient(k, set())
+    with pytest.raises(ValueError, match="^ideal element 7 out of range$"):
+        rees_quotient(k, {7})
+    left_escape = "^not an ideal: left product of 1 by 0 escapes to 2$"
+    with pytest.raises(NotAnIdealError, match=left_escape):
+        rees_quotient(builtin("L"), {1, 3})
 
 
 def test_subalgebra_generated():
@@ -286,6 +291,12 @@ def test_table_validation():
         FiniteAlgebra(((0, 2), (0, 0)), 0)
     with pytest.raises(ValueError):
         FiniteAlgebra(((0,), (0,)), 0)
+    with pytest.raises(ValueError, match="^algebras have at least one element$"):
+        FiniteAlgebra((), 0)
+    with pytest.raises(ValueError, match="^distinguished element out of range$"):
+        FiniteAlgebra(((0,),), 1)
+    with pytest.raises(ValueError, match="^element_names length mismatch$"):
+        FiniteAlgebra(((0,),), 0, None, ("a", "b"))
 
 
 def test_satisfies_all_assignments_count():

@@ -310,8 +310,14 @@ def test_parse_identity_rejects():
         parse_identity("xyz")
     with pytest.raises(ParseError):
         parse_identity("x = y = z")
-    with pytest.raises(ParseError) as exc:
-        parse_identity("x = ?")
-    assert exc.value.offset == 4
+    # a right side's error keeps its message and moves its offset to the full text
+    for text, mode, message, offset in (
+        ("x = ?", Mode.IS, "unexpected character '?'", 4),
+        ("0 = (x>y", Mode.IZ, "unbalanced '('", 4),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_identity(text, mode)
+        assert (exc.value.message, exc.value.offset) == (message, offset)
+        assert str(exc.value) == f"{message} (offset {offset})"
     with pytest.raises(ValueError):
         Identity(Word("x"), parse_term("0"), Mode.IS)
