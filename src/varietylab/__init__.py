@@ -29,6 +29,7 @@ from .models import (
     FiniteAlgebra,
     NotAnIdealError,
     SatResult,
+    VerificationError,
     builtin,
     check_axioms,
     direct_product,

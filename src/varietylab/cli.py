@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 for answered queries (HOLDS and FAILS are both answers),
-1 when a verification fails (replay failure, lattice mismatch, failed
-suite, algebra violating required axioms), 2 for usage or parse errors.
+1 when a verification fails (a replay or suite that fails, or a
+`VerificationError` raised anywhere), 2 for usage or parse errors.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from . import models, varieties
 from .derivations import load_script, replay
 from .enumeration import enumerate_algebras, render_report
 from .lattice import (
-    LatticeError,
     build_lattice,
     find_n5,
     is_distributive,
     is_zero_distributive,
     neutral_elements,
 )
-from .models import AxiomViolationError, builtin, load_algebra, satisfies
+from .models import VerificationError, builtin, load_algebra, satisfies
 from .terms import Mode, parse_identity, parse_word, normalize_is
 from .varieties import variety_by_name
 
@@ -208,7 +207,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except (LatticeError, AxiomViolationError) as exc:  # before their base ValueError
+    except VerificationError as exc:  # before its base ValueError
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:  # ParseError is a ValueError

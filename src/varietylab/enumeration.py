@@ -60,6 +60,7 @@ from typing import NamedTuple
 from . import varieties
 from .models import (
     FiniteAlgebra,
+    VerificationError,
     check_axioms,
     make_algebra,
     render_algebra,
@@ -361,7 +362,7 @@ def classify(report: EnumerationReport) -> dict:
         class_of = word_value_classes(a, words)
         _, _, pair = varieties.compare_ids(words, [class_of[w] for w in words], ids[v])
         if pair is not None:
-            raise AssertionError(
+            raise VerificationError(
                 f"algebra satisfies a different identity set than {v}: {pair[0]} = {pair[1]}"
             )
     return report.per_variety

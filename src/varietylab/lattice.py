@@ -13,11 +13,11 @@ import itertools
 import operator
 from collections import namedtuple
 
-from . import varieties
+from . import models, varieties
 from .varieties import Variety
 
 
-class LatticeError(ValueError):
+class LatticeError(models.VerificationError):
     pass
 
 

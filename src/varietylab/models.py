@@ -77,7 +77,11 @@ class NotAnIdealError(ValueError):
         self.witness = (element, by, product, side)
 
 
-class AxiomViolationError(ValueError):
+class VerificationError(ValueError):
+    """A fact the package checks did not verify: exit 1, or a FAIL line in verify-paper."""
+
+
+class AxiomViolationError(VerificationError):
     """An algebra failed its axiom check where passing was a precondition."""
 
     def __init__(self, report: "AxiomReport"):

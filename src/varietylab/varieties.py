@@ -92,7 +92,8 @@ def registry() -> MappingProxyType:
         failure = basis_failure(generators, basis)
         if failure is not None:
             gname, ident, witness = failure
-            raise AssertionError(f"generator {gname} violates basis of {v}: {ident} at {witness}")
+            msg = f"generator {gname} violates basis of {v}: {ident} at {witness}"
+            raise models.VerificationError(msg)
         records[v] = VarietyRecord(basis, generators)
     return MappingProxyType(records)
 
@@ -246,7 +247,7 @@ def variety_of(a: models.FiniteAlgebra) -> Variety:
     sat = [v for v, rec in registry().items() if all(map(sat_one, rec.basis))]
     least = [v for v in sat if all(generator_leq(v, w) for w in sat)]
     if len(least) != 1:
-        raise RuntimeError(f"no unique least variety among {sat}")
+        raise models.VerificationError(f"no unique least variety among {sat}")
     return least[0]
 
 

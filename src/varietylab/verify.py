@@ -1,19 +1,20 @@
 """The full verification suite, runnable deterministically in one shot.
 
 Thirteen numbered end-to-end checks reproduce every headline fact the package
-is built around.  Six have a time budget in `BUDGETS_S`, keyed by check
-number: 01, 02 and 10 fail past 1 s, 06 and 12 past 60 s, and 11 past 600 s.
-The runner's step, `run_check`, times each call and applies the table, except
-to 11, whose census is cached: it compares the walk's own `elapsed_s` with its
+is built around.  Six have a time budget in `BUDGETS_S`, keyed by check number:
+01, 02 and 10 fail past 1 s, 06 and 12 past 60 s, and 11 past 600 s.  The
+runner's step, `run_check`, times each call and applies the table, except to
+11, whose census is cached: it compares the walk's own `elapsed_s` with its
 budget.  After them come exhaustive or randomized invariant sweeps, seeded by
-`seed_from_env`, and the battery of documented examples.  Sweeps of the bounded
-identity space compare partitions of its 340 words (normal-form keys against
-the generators' value classes) instead of visiting its 115,600 pairs.  A
-partition is a list of dense ids, one per word, numbered in order of first
-occurrence, so equal partitions are equal lists, and equal lists end the
-comparison.  The substitution-closure sample is judged the same way: each
-variety keys the distinct image words of its sample once, by `key_ids`.
-Output is free of timings so repeated runs are byte-identical.
+`seed_from_env`, and the battery of documented examples.  A `VerificationError`
+fails only the line it is raised in.  Sweeps of the bounded identity space
+compare partitions of its 340 words (normal-form keys against the generators'
+value classes) instead of visiting its 115,600 pairs.  A partition is a list of
+dense ids, one per word, numbered in order of first occurrence, so equal
+partitions are equal lists, and equal lists end the comparison.  The
+substitution-closure sample is judged the same way: each variety keys the
+distinct image words of its sample once, by `key_ids`.  Output is free of
+timings so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .lattice import (
     is_zero_distributive,
     neutral_elements,
 )
-from .models import builtin, satisfies, subdirect_check, word_value_classes
+from .models import VerificationError, builtin, satisfies, subdirect_check, word_value_classes
 from .terms import (
     Arrow,
     Identity,
@@ -138,10 +139,7 @@ def _is_genuine_n5(lat, pent) -> bool:
 
 
 def check_01_lattice_reproduction() -> CheckResult:
-    try:  # build_lattice insists on the 16 elements and the expected covers
-        lat = build_lattice()
-    except lattice_mod.LatticeError as exc:
-        return CheckResult("lattice-reproduction", False, str(exc))
+    lat = build_lattice()  # raises unless the 16 elements have the expected covers
     detail = f"elements={len(lat)} covers={len(lat.covers())}"
     return CheckResult("lattice-reproduction", True, detail)
 
@@ -522,23 +520,20 @@ def invariant_parallel_determinism() -> CheckResult:
 
 
 def invariant_classification_coincidence() -> CheckResult:
-    try:
-        counts = classify(enumerate_algebras(4, Mode.IS))
-    except AssertionError as exc:
-        return CheckResult("classification-coincidence", False, str(exc))
+    counts = classify(enumerate_algebras(4, Mode.IS))
     ok = counts.get(Variety.K) == 1 and counts.get(Variety.L) == 1
     summary = " ".join(f"{v}:{counts[v]}" for v in sorted(counts, key=str))
     return CheckResult("classification-coincidence", ok, summary)
 
 
 def invariant_checks(seed: int) -> Iterator[CheckResult]:
-    """The invariant sweeps, each result yielded as it is made."""
-    yield invariant_monotonicity()
-    yield invariant_substitution_closure(seed)
-    yield invariant_product_law(seed)
-    yield invariant_batched_oracle_agreement(seed)
-    yield invariant_parallel_determinism()
-    yield invariant_classification_coincidence()
+    """The invariant sweeps, each `guarded`, each result yielded as it is made."""
+    yield guarded(invariant_monotonicity)
+    yield guarded(invariant_substitution_closure, seed)
+    yield guarded(invariant_product_law, seed)
+    yield guarded(invariant_batched_oracle_agreement, seed)
+    yield guarded(invariant_parallel_determinism)
+    yield guarded(invariant_classification_coincidence)
 
 
 # ---------------------------------------------------------------------------
@@ -822,11 +817,20 @@ def _raises(fn) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def guarded(check, *args) -> CheckResult:
+    """check(*args); a VerificationError raised inside it is a FAIL named after
+    check, with the error's text.  Any other exception is a bug and propagates."""
+    try:
+        return check(*args)
+    except VerificationError as exc:
+        return CheckResult(check.__name__, False, str(exc))
+
+
 def run_check(number: int) -> CheckResult:
-    """Numbered check `number`, named with its number and failed once the
-    call reaches its budget; check 11 times its cached census walk itself."""
+    """Numbered check `number`, `guarded`, named with its number and failed once
+    the call reaches its budget; check 11 times its cached census walk itself."""
     t0 = time.perf_counter()
-    res = NUMBERED_CHECKS[number - 1]()
+    res = guarded(NUMBERED_CHECKS[number - 1])
     res = CheckResult(f"{number:02d} {res.name}", res.passed, res.detail)
     if number in BUDGETS_S and number != 11:
         res = _within_budget(res, time.perf_counter() - t0, BUDGETS_S[number])
@@ -835,13 +839,18 @@ def run_check(number: int) -> CheckResult:
 
 def run_all() -> Iterator[CheckResult]:
     """All numbered checks, invariants and examples, in a fixed order, each
-    result yielded as it is made, so a check that raises keeps the earlier
-    ones.  The seed is read before the first check runs."""
+    result yielded as it is made, so an exception that propagates from a line
+    keeps the earlier ones.  The seed is read before the first check runs."""
     seed = seed_from_env()
     for number in range(1, len(NUMBERED_CHECKS) + 1):
         yield run_check(number)
     yield from invariant_checks(seed)
+    yield guarded(documented_examples)
+
+
+def documented_examples() -> CheckResult:
+    """The battery of `example_checks` as one line, naming its first failure."""
     examples = example_checks()
     bad = [r for r in examples if not r.passed]
     detail = f"{len(examples)} checks" + (f"; first failure {bad[0].name}" if bad else "")
-    yield CheckResult("documented-examples", not bad, detail)
+    return CheckResult("documented-examples", not bad, detail)

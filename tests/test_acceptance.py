@@ -5,12 +5,14 @@ verify-paper command.
 """
 
 import dataclasses
+import re
 from collections import Counter
 
 import pytest
 
 from varietylab import enumeration, lattice, models, verify
 from varietylab.terms import Mode, parse_identity
+from varietylab.varieties import Variety
 
 
 def report(result):
@@ -24,10 +26,17 @@ def test_criterion_01_lattice_reproduction():
 
 
 def test_criterion_01_reports_the_lattice_builders_verdict(monkeypatch):
-    covers = [(v, w) for v, w in lattice.EXPECTED_COVERS if (str(v), str(w)) != ("B+K", "IS")]
+    # build_lattice raises; the runner's guard turns that into check 01's FAIL
+    expected = lattice.EXPECTED_COVERS
+    covers = [(v, w) for v, w in expected if (str(v), str(w)) != ("B+K", "IS")]
     monkeypatch.setattr(lattice, "EXPECTED_COVERS", tuple(covers))
-    result = verify.check_01_lattice_reproduction()
+    result = verify.run_check(1)
+    assert result.name == "01 check_01_lattice_reproduction"
     assert not result.passed and result.detail == "unexpected cover B+K < IS"
+    monkeypatch.setattr(lattice, "EXPECTED_COVERS", expected + ((Variety.T, Variety.IS),))
+    with pytest.raises(lattice.LatticeError, match="^missing cover T < IS$"):
+        lattice.build_lattice()
+    assert verify.run_check(1).detail == "missing cover T < IS"
 
 
 def test_criterion_02_non_modularity():
@@ -97,6 +106,43 @@ def test_budget_overrun_fails_and_names_itself(monkeypatch, number):
     res = verify.run_check(number)
     assert res.name.startswith(f"{number:02d} ")
     assert not res.passed and res.detail.endswith("; too slow (1000.00s)")
+
+
+class _FailedReport:
+    passed = False
+
+
+def _k_for_the_quotient(name, builtin=models.builtin):
+    return builtin("K" if name == "BxK_mod_I" else name)
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, number, detail",
+    [
+        (verify, "find_n5", lambda lat: None, 2, "no pentagon found"),
+        (verify, "normalize_is", lambda w: w, 7, "pairs=115600 mismatches=7908 first=xO = Ox"),
+        (verify, "builtin", _k_for_the_quotient, 9, "order=4; commutative; classified K"),
+        (verify, "corrupt_step_substitution", lambda script, idx: script, 10,
+         "omega-idempotent survives mutation at step 4;.*"),
+        (verify, "subdirect_check", lambda a: _FailedReport(), 11,
+         "subdirect decomposition fails at order 1;.*"),
+        (models, "is_isomorphic", lambda a, b: False, 12,
+         "fixpoint/subalgebra biconditional fails at order 2;.*"),
+        (models, "direct_product", lambda a, b: a, None, "samples=300 failures=52"),
+    ],
+    ids=["02", "07", "09", "10", "11", "12", "product-law"],
+)
+def test_a_planted_fault_reaches_the_checks_fail_branch(
+    monkeypatch, module, name, fake, number, detail
+):
+    # each fault is caught by the check's own comparison, not by the guard
+    monkeypatch.setattr(module, name, fake)
+    if number is None:
+        res = verify.invariant_product_law(verify.DEFAULT_SEED)
+    else:
+        res = verify.run_check(number)
+        assert "check_" not in res.name  # the guard names a line after the function
+    assert not res.passed and re.fullmatch(detail, res.detail), res.detail
 
 
 def test_checks_without_a_timed_call_are_never_too_slow(monkeypatch):

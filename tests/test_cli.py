@@ -4,9 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from varietylab import cli, verify
+from varietylab import cli, lattice, varieties, verify
 from varietylab.derivations import render_script, shipped_scripts
-from varietylab.lattice import LatticeError
 from varietylab.models import builtin, render_algebra
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,7 +101,7 @@ def test_variety_of(capsys):
     assert code == 0 and out == "L\n"
 
 
-def test_variety_of_rejects_non_semigroup(capsys, tmp_path):
+def test_variety_of_rejects_non_semigroup(capsys, monkeypatch, tmp_path):
     path = tmp_path / "2b.alg"
     path.write_text(render_algebra(builtin("2b")), encoding="utf-8")
     for spec in ("builtin:2b", str(path)):
@@ -113,6 +112,12 @@ def test_variety_of_rejects_non_semigroup(capsys, tmp_path):
             "verification failure: axiom check failed: "
             "associativity fails at {'x': 0, 'y': 0, 'z': 0}"
         )
+    # a semigroup whose least variety the order cannot single out
+    monkeypatch.setattr(varieties, "generator_leq", lambda v, w: False)
+    code, out, err = run(capsys, ["variety-of", "builtin:Z"])
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure: no unique least variety among [")
+    assert "Traceback" not in err
 
 
 LATTICE_REPORT = (
@@ -279,19 +284,45 @@ def test_verify_paper_stdout_is_pinned(capsys, monkeypatch, jobs):
 
 
 def test_verify_paper_keeps_the_lines_of_the_checks_before_one_that_raises(capsys, monkeypatch):
+    # a RuntimeError is a bug, not a failed fact: it propagates, after the
+    # lines already made
     monkeypatch.delenv("VARIETYLAB_SEED", raising=False)
 
     def planted():
-        raise LatticeError("planted in check 09")
+        raise RuntimeError("planted in check 09")
 
     checks = list(verify.NUMBERED_CHECKS)
     checks[8] = planted
     monkeypatch.setattr(verify, "NUMBERED_CHECKS", tuple(checks))
-    code, out, err = run(capsys, ["verify-paper"])
-    assert code == 1
+    with pytest.raises(RuntimeError, match="planted in check 09"):
+        cli.main(["verify-paper"])
+    out = capsys.readouterr().out
     assert out.splitlines() == PINNED.read_text(encoding="utf-8").splitlines()[:8]
     assert out.endswith("\n")
-    assert err.startswith("verification failure:")
+
+
+def test_verify_paper_fails_each_line_a_wrong_lattice_reaches_and_runs_the_rest(
+    capsys, monkeypatch
+):
+    monkeypatch.delenv("VARIETYLAB_SEED", raising=False)
+    covers = [p for p in lattice.EXPECTED_COVERS if (str(p[0]), str(p[1])) != ("B+K", "IS")]
+    monkeypatch.setattr(lattice, "EXPECTED_COVERS", tuple(covers))
+    code, out, err = run(capsys, ["verify-paper"])
+    expected = PINNED.read_text(encoding="utf-8").splitlines()
+    for i, name in (
+        (0, "01 check_01_lattice_reproduction"),
+        (1, "02 check_02_non_modularity"),
+        (2, "03 check_03_chain_and_downset"),
+        (3, "04 check_04_neutrality"),
+        (4, "05 check_05_atoms"),
+        (7, "08 check_08_join_equalities"),
+        (12, "13 check_13_zero_distributivity"),
+        (19, "documented_examples"),
+    ):
+        expected[i] = f"FAIL {name} (unexpected cover B+K < IS)"
+    expected[-1] = "8 of 20 checks failed"
+    assert code == 1 and err == ""
+    assert out.splitlines() == expected
 
 
 def test_verify_paper_counts_its_failed_checks(capsys, monkeypatch):
@@ -332,12 +363,20 @@ def test_parse_errors_name_their_line(capsys, tmp_path):
     code, out, err = run(capsys, ["oracle", str(algebra), "x = x"])
     assert code == 2 and out == ""
     assert err == "error: algebras have at least one element (line 1)\n"
+    algebra.write_text("size 2\nomega: 0\n", encoding="utf-8")
+    code, out, err = run(capsys, ["oracle", str(algebra), "x = x"])
+    assert code == 2 and out == ""
+    assert err == "error: expected 'size: n', got 'size 2' (line 1)\n"
     script = tmp_path / "bad.script"
     script.write_text("mode: is\nname: x\ngoal: x = x\n# c\nstart: x\nstep ? \n",
                       encoding="utf-8")
     code, out, err = run(capsys, ["replay", str(script)])
     assert code == 2 and out == ""
     assert err == "error: bad step line 'step ?' (line 6)\n"
+    script.write_text("mode: is\nnme: x\ngoal: x = x\nstart: x\n", encoding="utf-8")
+    code, out, err = run(capsys, ["replay", str(script)])
+    assert code == 2 and out == ""
+    assert err == "error: expected 'name:', got 'nme: x' (line 2)\n"
     for text, error in (
         ("premises: a: x = x\n", "premises go on their own lines (line 3)"),
         ("premises:\nnocolon\n", "bad premise line 'nocolon' (line 4)"),

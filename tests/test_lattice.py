@@ -272,3 +272,7 @@ def test_invalid_orders_rejected():
     # three pairwise-incomparable elements have no joins
     with pytest.raises(LatticeError):
         FiniteLattice(("a", "b", "c"), [[i == j for j in range(3)] for i in range(3)])
+    with pytest.raises(LatticeError, match="^duplicate elements$"):
+        FiniteLattice(("a", "a"), [[1, 1], [1, 1]])
+    with pytest.raises(LatticeError, match="^no least element$"):
+        FiniteLattice((), []).least()
