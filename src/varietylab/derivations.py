@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from types import MappingProxyType
 
@@ -49,6 +49,11 @@ class Rule:
     label: str
     identity: Identity
     kind: Kind
+
+    @cached_property
+    def letters(self) -> tuple:
+        """The sorted letters of the rule's identity, read once per rule."""
+        return identity_letters(self.identity)
 
 
 AXIOM_LABELS = ("A1", "A2")
@@ -122,7 +127,7 @@ def apply_step(term, step: Step, rules: dict):
     rule = rules.get(step.label)
     if rule is None:
         raise StepError(f"unknown rule label {step.label!r}")
-    stray = set(step.substitution).difference(identity_letters(rule.identity))
+    stray = set(step.substitution).difference(rule.letters)
     if stray:
         raise StepError(f"rule {step.label!r} has no letter {min(stray)!r}")
     src = rule.identity.lhs if step.direction is Direction.L2R else rule.identity.rhs

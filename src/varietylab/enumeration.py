@@ -30,13 +30,16 @@ it, the lowest cell i*n + j among equals.  The choice moves the values tried
 and the prunes of `SearchStats`, never its complete tables.
 
 The table is one flat list, cell (i, j) at index i*n + j, the index the
-instance lists use too.  A complete table is turned into its canonical form
-at the leaf and goes into a set, so the walk keeps one blob per isomorphism
-class, not its tables.  Once the walk is done, `models.check_axioms`, which
-is independent of the search, checks each class once, on the representative
-that is output.  `SearchStats` counts the values tried, the prunes, the
-complete tables and the classes that check rejected.  The census is one walk
-in one process: at orders up to 5 a worker pool never paid for its start-up.
+instance lists use too.  A complete table goes to `canonical_form` as bytes
+straight from that flat list, with no rows and no `FiniteAlgebra` built,
+and its canonical form goes into a set, so the walk keeps one blob per
+isomorphism class, not its tables.  Once the walk is done, each class's
+representative is built once, and `models.check_axioms`, which is
+independent of the search, checks it; the representatives that pass are
+the census.  `SearchStats` counts the values tried, the prunes, the
+complete tables and the classes that check rejected.  The census is one
+walk in one process: at orders up to 5 a worker pool never paid for its
+start-up.
 
 `canonical_form` tries the relabelings that fix 0 in C-level operations: a
 relabeling is an `operator.itemgetter` over the flat cells and a 256-byte
@@ -49,10 +52,10 @@ cannot grow with the inputs.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 import time
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -93,27 +96,32 @@ class EnumerationReport:
         return None if self.varieties is None else dict(Counter(self.varieties))
 
 
-def canonical_form(a: FiniteAlgebra) -> bytes:
+def canonical_form(a: FiniteAlgebra | bytes) -> bytes:
     """Lexicographically least byte serialization over relabelings that send
     the distinguished element to index 0.  Equal bytes iff isomorphic.
+
+    `a` may also be a table as bytes laid out as the result is: the order,
+    then the cells row by row, with 0 distinguished.  The census walk hands
+    over its complete tables that way, building no rows and no algebra.
 
     A distinguished element d other than 0 is first swapped with 0.  Every
     relabeling that sends d to 0 is a relabeling that fixes 0 after that
     transposition, so one table of the (n-1)! relabelings that fix 0 serves
     every d (see `_relabelings`)."""
-    n = a.order
-    if n == 1:  # one cell; an itemgetter of one index would not give a tuple
-        return bytes([1, a.table[0][0]])
-    d = a.distinguished
-    if d:
+    if isinstance(a, bytes):
+        n, flat = a[0], a[1:]
+    elif a.distinguished:
+        n, d = a.order, a.distinguished
         swap = list(range(n))
         swap[0], swap[d] = d, 0
         rows = a.table
         flat = bytes(swap[rows[swap[p]][swap[q]]] for p in range(n) for q in range(n))
     else:
+        n = a.order
         flat = bytes(itertools.chain.from_iterable(a.table))
-    best = min(bytes(get(flat)).translate(pi) for get, pi in _relabelings(n))
-    return bytes([n]) + best
+    if n == 1:  # one cell; an itemgetter of one index would not give a tuple
+        return bytes([1, flat[0]])
+    return bytes([n]) + min([bytes(get(flat)).translate(pi) for get, pi in _relabelings(n)])
 
 
 _RELABELINGS: dict = {}  # order -> its relabelings, if at most MAX_KEPT_RELABELINGS
@@ -141,9 +149,7 @@ def _relabelings(n: int) -> list:
 
 def algebra_from_canonical(blob: bytes) -> FiniteAlgebra:
     n = blob[0]
-    flat = blob[1:]
-    table = [[flat[p * n + q] for q in range(n)] for p in range(n)]
-    return make_algebra(table, 0)
+    return make_algebra([blob[p:p + n] for p in range(1, n * n + 1, n)], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +157,19 @@ def algebra_from_canonical(blob: bytes) -> FiniteAlgebra:
 #
 # A law is a pair of terms over registers: register 0 holds the constant,
 # 1, 2, 3 the variables x, y, z, and a pair (s, u) is the product s·u
-# (s > u in tree mode).  A law compiles to a program: steps (a, b), each
-# appending the product of registers a and b, and the registers of its two
-# sides.  An undetermined instance is (left, registers, program), where the
-# first of the last `left` steps reads an undefined cell.  Nothing about the
-# instance changes until that cell is set, so pending instances are kept in
-# one list per cell, indexed by the cell's i*n + j.  Each list is sorted,
-# fewest steps left first, so that a failing instance tends to be met early.
+# (s > u in tree mode).  A law compiles to steps (a, b), each appending the
+# product of registers a and b, and the registers of its two sides.  Its
+# steps are kept as suffix tuples, `tails[left]` the last `left` of them,
+# so a resumption loops over `tails[left]` with no index arithmetic.  An
+# undetermined instance is one flat tuple (left, regs, tails, lhs, rhs): the
+# first of its last `left` steps reads an undefined cell, and `regs` is the
+# list of registers computed so far.  A resumption copies `regs` before it
+# appends, and a stored list is never changed, so backtracking needs no undo.
+# Nothing about the instance changes until that cell is set, so pending
+# instances are kept in one list per cell, indexed by the cell's i*n + j.
+# Each list is kept ordered by `left` alone, fewest steps left first, so that
+# a failing instance tends to be met early; the order among equal counts
+# only decides which failing instance is met first, never the counts.
 
 O, X, Y, Z = 0, 1, 2, 3
 
@@ -214,45 +226,51 @@ def _prefix(n: int) -> list:
     return cells
 
 
+_LEFT = operator.itemgetter(0)  # an instance's steps left, its sort key
+
+
 def _root(n: int, mode: Mode) -> list:
     """The instance lists of the empty table: every instance, filed under
     the cell of its first lookup."""
     pending = [[] for _ in range(n * n)]
     for law in _LAWS[mode]:
         arity, steps, lhs, rhs = _compile(law)
+        tails = tuple(steps[len(steps) - left:] for left in range(len(steps) + 1))
         a, b = steps[0]
         for values in itertools.product(range(n), repeat=arity):
-            regs = (0, *values)
-            pending[regs[a] * n + regs[b]].append((len(steps), regs, (steps, lhs, rhs)))
-    return [sorted(due) for due in pending]
+            regs = [0, *values]
+            pending[regs[a] * n + regs[b]].append((len(steps), regs, tails, lhs, rhs))
+    for due in pending:
+        due.sort(key=_LEFT)
+    return pending
 
 
 def _propagate(pending, c, t, n):
-    """The instances still undetermined once cell c of the flat table t is
-    set, or None if one fails.  `pending` and its lists are not changed."""
+    """The instance lists once cell c of the flat table t is set, or None if
+    an instance fails.  `pending`, its lists and their instances are not
+    changed: a resumption appends to a copy of its registers."""
     moved = []
-    for left, regs, program in pending[c]:
-        steps, lhs, rhs = program
-        regs = list(regs)
-        k = len(steps) - left
-        while left:
-            a, b = steps[k]
-            cell = regs[a] * n + regs[b]
-            value = t[cell]
+    v = t[c]
+    for left, regs, tails, lhs, rhs in pending[c]:
+        # the first step left reads cell c
+        r = [*regs, v]
+        for a, b in tails[left - 1]:
+            value = t[r[a] * n + r[b]]
             if value is None:
-                moved.append((cell, (left, tuple(regs), program)))
+                # the steps taken are the registers appended
+                moved.append((r[a] * n + r[b], (left + len(regs) - len(r), r, tails, lhs, rhs)))
                 break
-            regs.append(value)
-            k += 1
-            left -= 1
+            r.append(value)
         else:
-            if regs[lhs] != regs[rhs]:
+            if r[lhs] != r[rhs]:
                 return None
+    if not moved:
+        return pending
     kept = pending.copy()
     for cell, inst in moved:
         if kept[cell] is pending[cell]:
             kept[cell] = pending[cell].copy()
-        bisect.insort(kept[cell], inst)
+        insort(kept[cell], inst, key=_LEFT)
     return kept
 
 
@@ -265,39 +283,54 @@ def _search(order: int, mode: Mode):
     inner = [i * n + j for i in range(1, n) for j in range(1, n)]
     t = [None] * (n * n)
     out = set()
+    propagate = _propagate
     nodes = prunes = leaves = 0
 
-    def walk(k, pending, mdn):
-        nonlocal nodes, prunes, leaves
-        if k == n * n:
-            leaves += 1
-            rows = [t[i:i + n] for i in range(0, n * n, n)]
-            out.add(canonical_form(make_algebra(rows, 0)))
+    def head(k, pending, mdn):
+        """Fill row 0 and column 0 in their fixed order, then the rest."""
+        nonlocal nodes, prunes
+        if k == len(prefix):
+            rest(pending, inner)
             return
-        if k < len(prefix):
-            c = prefix[k]
-        else:
-            # fail first: the free cell with the most waiting instances; only
-            # a strictly longer list replaces, so the lowest cell among equals
-            # is kept
-            most = -1
-            for cell in inner:
-                if t[cell] is None and len(pending[cell]) > most:
-                    c, most = cell, len(pending[cell])
+        c = prefix[k]
         # least-number heuristic: the elements above max(mdn, i, j) are
         # interchangeable so far, so only the first of them is tried
         bound = max(mdn, *divmod(c, n))
         for v in range(min(n - 1, bound + 1) + 1):
             nodes += 1
             t[c] = v
-            kept = _propagate(pending, c, t, n)
+            kept = propagate(pending, c, t, n)
             if kept is None:
                 prunes += 1
             else:
-                walk(k + 1, kept, max(bound, v))
+                head(k + 1, kept, max(bound, v))
         t[c] = None
 
-    walk(0, _root(n, mode), 0)
+    def rest(pending, free):
+        """Fill the free cells below the prefix, where mdn = n-1 and every
+        value is tried, fail-first; `free` is sorted."""
+        nonlocal nodes, prunes, leaves
+        if not free:
+            leaves += 1
+            out.add(canonical_form(bytes([n, *t])))
+            return
+        # the free cell with the most waiting instances; the first maximum
+        # is the lowest cell among equals
+        sizes = [len(pending[cell]) for cell in free]
+        i = sizes.index(max(sizes))
+        c = free[i]
+        others = free[:i] + free[i + 1:]
+        nodes += n
+        for v in range(n):
+            t[c] = v
+            kept = propagate(pending, c, t, n)
+            if kept is None:
+                prunes += 1
+            else:
+                rest(kept, others)
+        t[c] = None
+
+    head(0, _root(n, mode), 0)
     return out, SearchStats(nodes, prunes, leaves, 0)
 
 
@@ -319,9 +352,8 @@ def enumerate_algebras(order: int, mode: Mode, jobs: int = 1) -> EnumerationRepo
     key = (order, mode)
     if key not in _cache:
         t0 = time.perf_counter()
-        blobs, stats = _census(order, mode)
+        algebras, stats = _census(order, mode)
         elapsed_s = time.perf_counter() - t0
-        algebras = tuple(algebra_from_canonical(b) for b in blobs)
         kinds = None
         if mode is Mode.IS:
             kinds = tuple(varieties.variety_of(a) for a in algebras)
@@ -330,15 +362,13 @@ def enumerate_algebras(order: int, mode: Mode, jobs: int = 1) -> EnumerationRepo
 
 
 def _census(order: int, mode: Mode) -> tuple:
-    """Sorted canonical blobs and the walk's SearchStats.  One walk collects
-    the set of blobs, and then check_axioms runs once per class, on the
-    representative that is output; leaf_rejects counts the classes it
-    rejects."""
+    """The class representatives, sorted by canonical form, and the walk's
+    SearchStats.  One walk collects the set of canonical forms; then each
+    class's representative is built once and check_axioms runs once on it.
+    leaf_rejects counts the classes it rejects."""
     blobs, stats = _search(order, mode)
-    passed = tuple(
-        blob for blob in sorted(blobs)
-        if check_axioms(algebra_from_canonical(blob), mode).passed
-    )
+    reps = [algebra_from_canonical(blob) for blob in sorted(blobs)]
+    passed = tuple(a for a in reps if check_axioms(a, mode).passed)
     return passed, stats._replace(leaf_rejects=len(blobs) - len(passed))
 
 

@@ -247,7 +247,9 @@ def variety_of(a: models.FiniteAlgebra) -> Variety:
     sat = [v for v, rec in registry().items() if all(map(sat_one, rec.basis))]
     least = [v for v in sat if all(generator_leq(v, w) for w in sat)]
     if len(least) != 1:
-        raise models.VerificationError(f"no unique least variety among {sat}")
+        raise models.VerificationError(
+            f"no unique least variety among [{', '.join(map(str, sat))}]"
+        )
     return least[0]
 
 

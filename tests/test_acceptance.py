@@ -218,9 +218,9 @@ def test_parallel_determinism_catches_a_lost_class(monkeypatch):
     census = enumeration._census
 
     def faulty_census(order, mode):
-        blobs, stats = census(order, mode)
+        algebras, stats = census(order, mode)
         # a planted fault: the order-3 tree-mode walk loses its last class
-        return (blobs[:-1] if (order, mode) == (3, Mode.IZ) else blobs), stats
+        return (algebras[:-1] if (order, mode) == (3, Mode.IZ) else algebras), stats
 
     monkeypatch.setattr(enumeration, "_cache", {})
     monkeypatch.setattr(enumeration, "_census", faulty_census)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -60,6 +61,12 @@ def brute_force_census(order, mode):
             if check_axioms(a, mode).passed:
                 blobs.add(reference_canonical_form(a))
     return tuple(sorted(blobs))
+
+
+def blobs_of(algebras):
+    """The canonical forms of census representatives: a representative's
+    table is its canonical form, so its order and cells, row by row."""
+    return tuple(bytes([a.order, *itertools.chain.from_iterable(a.table)]) for a in algebras)
 
 
 @st.composite
@@ -131,6 +138,9 @@ def test_canonical_form_examples():
 @given(algebras(1, 5))
 def test_canonical_form_matches_reference(a):
     assert canonical_form(a) == reference_canonical_form(a)
+    # the census walk's route: the order, then the cells, with 0 distinguished
+    flat = bytes([a.order, *itertools.chain.from_iterable(a.table)])
+    assert canonical_form(flat) == reference_canonical_form(make_algebra(a.table, 0))
 
 
 @settings(max_examples=10, deadline=None)
@@ -162,7 +172,7 @@ def test_order_six_calls_share_one_relabeling_table(monkeypatch):
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_census_matches_naive_oracle(order, mode):
     # validates both the pruning and pinning the constant at index 0
-    assert brute_force_census(order, mode) == _census(order, mode)[0]
+    assert brute_force_census(order, mode) == blobs_of(_census(order, mode)[0])
 
 
 # sha256 of the joined canonical blobs, taken from the full-scan engine that
@@ -175,7 +185,7 @@ ORDER_FOUR_DIGESTS = {
 
 @pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
 def test_order_four_census_matches_pinned_digest(mode):
-    blobs, _ = _census(4, mode)
+    blobs = blobs_of(_census(4, mode)[0])
     assert (len(blobs), hashlib.sha256(b"".join(blobs)).hexdigest()) == ORDER_FOUR_DIGESTS[mode]
 
 
@@ -197,7 +207,7 @@ def test_order_four_search_counts(mode, stats):
 
 def test_order_five_associative_census_matches_pinned_digest():
     # digest taken from the walk that filled the cells in row-major order
-    blobs, _ = _census(5, Mode.IS)
+    blobs = blobs_of(_census(5, Mode.IS)[0])
     assert (len(blobs), hashlib.sha256(b"".join(blobs)).hexdigest()) == (
         206,
         "d7e067e0410f415a1e9aa3a9e32ec56fe20065802810888bbae74ec13393f7da",
@@ -208,6 +218,26 @@ def test_order_five_associative_report():
     rep = enumerate_algebras(5, Mode.IS)
     assert rep.count == 206
     assert sum(rep.per_variety.values()) == 206
+    # the order-five pin beside the order-four ones above, read off the cached walk
+    assert rep.stats == SearchStats(nodes=55866, prunes=41140, leaves=3550, leaf_rejects=0)
+
+
+@pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
+def test_propagation_leaves_its_instance_lists_as_they_were(monkeypatch, mode):
+    # backtracking has no undo, so each call must leave the lists it is given,
+    # their instances and the register lists those hold, exactly as they were
+    propagate = enumeration._propagate
+    unchanged = []
+
+    def checked(pending, c, t, n):
+        before = copy.deepcopy(pending)
+        kept = propagate(pending, c, t, n)
+        unchanged.append(pending == before)
+        return kept
+
+    monkeypatch.setattr(enumeration, "_propagate", checked)
+    enumeration._search(3, mode)
+    assert unchanged and all(unchanged)
 
 
 @pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
@@ -215,8 +245,8 @@ def test_class_check_catches_a_planted_fault(monkeypatch, mode):
     # with all laws but the first gone, the walk lets through tables that
     # break the axioms; the check once per class must drop them
     monkeypatch.setitem(enumeration._LAWS, mode, enumeration._LAWS[mode][:1])
-    blobs, stats = _census(3, mode)
-    assert blobs == brute_force_census(3, mode)
+    passed, stats = _census(3, mode)
+    assert blobs_of(passed) == brute_force_census(3, mode)
     assert stats.leaf_rejects > 0
 
 
@@ -246,7 +276,8 @@ def test_census_is_one_walk_whatever_jobs(monkeypatch):
         (Mode.IS, SearchStats(nodes=1983, prunes=1375, leaves=112, leaf_rejects=0)),
         (Mode.IZ, SearchStats(nodes=12264, prunes=8168, leaves=1029, leaf_rejects=0)),
     ):
-        blobs, walked = _census(4, mode)
+        passed, walked = _census(4, mode)
+        blobs = blobs_of(passed)
         digest = hashlib.sha256(b"".join(blobs)).hexdigest()
         assert ((len(blobs), digest), walked) == (ORDER_FOUR_DIGESTS[mode], stats)
     assert enumerate_algebras(2, Mode.IS, jobs=2).algebras == (

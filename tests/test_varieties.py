@@ -254,8 +254,10 @@ def test_variety_of_rejects_non_algebra(monkeypatch):
     assert exc.value.report.checks[0].witness == {"x": 0, "y": 0, "z": 0}
     # a semigroup whose least variety the order cannot single out
     monkeypatch.setattr(varieties, "generator_leq", lambda v, w: False)
-    with pytest.raises(models.VerificationError, match=r"^no unique least variety among \["):
+    with pytest.raises(models.VerificationError, match=r"^no unique least variety among \[") as exc:
         variety_of(models.builtin("Z"))
+    # varieties are named as in every other message, not by their reprs
+    assert "[ZM, K, " in str(exc.value) and "<Variety." not in str(exc.value)
 
 
 def test_exhaustive_word_count():
