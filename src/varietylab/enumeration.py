@@ -20,14 +20,15 @@ Zhang, IJCAI 1995).  Let mdn be the largest element that occurs so far as a
 cell index or an assigned value.  Elements above max(mdn, i, j) are then
 interchangeable, so cell (i, j) tries values only up to that bound plus one.
 
-The first 2n-1 cells, row 0 and column 0, are filled in a fixed order:
-(0,0), (0,1), (1,0), (0,2), (2,0), ...  The heuristic acts only there: once
-(0, n-1) is set, mdn = n-1 and every cell tries every value.  Below that
-prefix, any order of the remaining cells therefore visits the same complete
-tables, and the walk branches fail-first (Haralick and Elliott, Artificial
-Intelligence 14, 1980) on the free cell with the most instances waiting on
-it, the lowest cell i*n + j among equals.  The choice moves the values tried
-and the prunes of `SearchStats`, never its complete tables.
+The walk is one recursion with two rules for choosing the next cell.  The
+first 2n-1 cells, row 0 and column 0, come in a fixed order: (0,0), (0,1),
+(1,0), (0,2), (2,0), ...  The heuristic acts only there: once (0, n-1) is
+set, mdn = n-1 and every cell tries every value.  Below that prefix, any
+order of the remaining cells therefore visits the same complete tables, and
+the walk branches fail-first (Haralick and Elliott, Artificial Intelligence
+14, 1980) on the free cell with the most instances waiting on it, the lowest
+cell i*n + j among equals.  The choice moves the values tried and the
+prunes of `SearchStats`, never its complete tables.
 
 The table is one flat list, cell (i, j) at index i*n + j, the index the
 instance lists use too.  A complete table goes to `canonical_form` as bytes
@@ -44,10 +45,10 @@ start-up.
 `canonical_form` tries the relabelings that fix 0 in C-level operations: a
 relabeling is an `operator.itemgetter` over the flat cells and a 256-byte
 `bytes.translate` map over the values, and the (n-1)! of them are built once
-per order.  A distinguished element d other than 0 is first swapped with 0,
-so one table per order serves every d.  Only the tables of at most
-MAX_KEPT_RELABELINGS entries are kept (orders up to 6), so what is held
-cannot grow with the inputs.
+per order and kept.  The distinguished element d is first swapped with 0,
+so one table per order serves every d.  `canonical_form` refuses orders
+above MAX_CANONICAL_ORDER = 6, so at most five tables are kept, the largest
+with 120 entries, and what is held cannot grow with the inputs.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ import time
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import varieties
@@ -72,8 +74,7 @@ from .models import (
 from .terms import Mode
 
 MAX_ORDER = 5
-# the largest relabeling table kept between calls: the 5! of order 6
-MAX_KEPT_RELABELINGS = 120
+MAX_CANONICAL_ORDER = 6  # keeps at most 5! = 120 relabelings per order
 
 
 @dataclass(frozen=True)
@@ -104,47 +105,38 @@ def canonical_form(a: FiniteAlgebra | bytes) -> bytes:
     then the cells row by row, with 0 distinguished.  The census walk hands
     over its complete tables that way, building no rows and no algebra.
 
-    A distinguished element d other than 0 is first swapped with 0.  Every
-    relabeling that sends d to 0 is a relabeling that fixes 0 after that
-    transposition, so one table of the (n-1)! relabelings that fix 0 serves
-    every d (see `_relabelings`)."""
+    The distinguished element d is first swapped with 0 (the identity when
+    d = 0).  Every relabeling that sends d to 0 is a relabeling that fixes 0
+    after that transposition, so one table of the (n-1)! relabelings that
+    fix 0 serves every d (see `_relabelings`).  Refuses orders above 6."""
     if isinstance(a, bytes):
         n, flat = a[0], a[1:]
-    elif a.distinguished:
-        n, d = a.order, a.distinguished
+    else:
+        n, d, rows = a.order, a.distinguished, a.table
         swap = list(range(n))
         swap[0], swap[d] = d, 0
-        rows = a.table
         flat = bytes(swap[rows[swap[p]][swap[q]]] for p in range(n) for q in range(n))
-    else:
-        n = a.order
-        flat = bytes(itertools.chain.from_iterable(a.table))
+    if n > MAX_CANONICAL_ORDER:
+        raise ValueError(f"canonical_form: order {n} is above {MAX_CANONICAL_ORDER}")
     if n == 1:  # one cell; an itemgetter of one index would not give a tuple
         return bytes([1, flat[0]])
     return bytes([n]) + min([bytes(get(flat)).translate(pi) for get, pi in _relabelings(n)])
 
 
-_RELABELINGS: dict = {}  # order -> its relabelings, if at most MAX_KEPT_RELABELINGS
-
-
-def _relabelings(n: int) -> list:
+@lru_cache(maxsize=None)  # orders 2 to MAX_CANONICAL_ORDER: at most five tables
+def _relabelings(n: int) -> tuple:
     """The relabelings of order n > 1 that fix 0, each as a pair (get, pi):
     `get` takes a flat table's cells in the relabeled row-major order, and
-    `pi` is the 256-byte `bytes.translate` map from old values to new.  Kept
-    when it has at most MAX_KEPT_RELABELINGS entries, built afresh above."""
-    table = _RELABELINGS.get(n)
-    if table is None:
-        table = []
-        for image in itertools.permutations(range(1, n)):
-            pi = (0, *image)  # old label -> new label
-            inv = [0] * n
-            for old, new in enumerate(pi):
-                inv[new] = old
-            cells = [inv[p] * n + inv[q] for p in range(n) for q in range(n)]
-            table.append((operator.itemgetter(*cells), bytes(pi).ljust(256, b"\0")))
-        if len(table) <= MAX_KEPT_RELABELINGS:
-            _RELABELINGS[n] = table
-    return table
+    `pi` is the 256-byte `bytes.translate` map from old values to new."""
+    table = []
+    for image in itertools.permutations(range(1, n)):
+        pi = (0, *image)  # old label -> new label
+        inv = [0] * n
+        for old, new in enumerate(pi):
+            inv[new] = old
+        cells = [inv[p] * n + inv[q] for p in range(n) for q in range(n)]
+        table.append((operator.itemgetter(*cells), bytes(pi).ljust(256, b"\0")))
+    return tuple(table)
 
 
 def algebra_from_canonical(blob: bytes) -> FiniteAlgebra:
@@ -170,6 +162,8 @@ def algebra_from_canonical(blob: bytes) -> FiniteAlgebra:
 # Each list is kept ordered by `left` alone, fewest steps left first, so that
 # a failing instance tends to be met early; the order among equal counts
 # only decides which failing instance is met first, never the counts.
+# `_search` is one walk: each level picks its cell by one of the module doc's
+# two rules, then sets it to each value in turn, propagates and recurses.
 
 O, X, Y, Z = 0, 1, 2, 3
 
@@ -280,57 +274,46 @@ def _search(order: int, mode: Mode):
     to `_census`."""
     n = order
     prefix = _prefix(n)
-    inner = [i * n + j for i in range(1, n) for j in range(1, n)]
+    width = len(prefix)
     t = [None] * (n * n)
     out = set()
     propagate = _propagate
     nodes = prunes = leaves = 0
 
-    def head(k, pending, mdn):
-        """Fill row 0 and column 0 in their fixed order, then the rest."""
-        nonlocal nodes, prunes
-        if k == len(prefix):
-            rest(pending, inner)
-            return
-        c = prefix[k]
-        # least-number heuristic: the elements above max(mdn, i, j) are
-        # interchangeable so far, so only the first of them is tried
-        bound = max(mdn, *divmod(c, n))
-        for v in range(min(n - 1, bound + 1) + 1):
-            nodes += 1
-            t[c] = v
-            kept = propagate(pending, c, t, n)
-            if kept is None:
-                prunes += 1
-            else:
-                head(k + 1, kept, max(bound, v))
-        t[c] = None
-
-    def rest(pending, free):
-        """Fill the free cells below the prefix, where mdn = n-1 and every
-        value is tried, fail-first; `free` is sorted."""
+    def walk(k, pending, free, mdn):
+        """Set the k-th cell of the walk: prefix[k] while the prefix lasts,
+        then the fail-first choice among the sorted `free` cells."""
         nonlocal nodes, prunes, leaves
-        if not free:
+        if k < width:
+            c = prefix[k]
+            # least-number heuristic: the elements above max(mdn, i, j) are
+            # interchangeable so far, so only the first of them is tried
+            mdn = max(mdn, *divmod(c, n))
+            top = min(mdn + 2, n)
+        elif free:
+            # the free cell with the most waiting instances; the first
+            # maximum is the lowest cell among equals
+            sizes = [len(pending[cell]) for cell in free]
+            i = sizes.index(max(sizes))
+            c = free[i]
+            free = free[:i] + free[i + 1:]
+            top = n
+        else:
             leaves += 1
             out.add(canonical_form(bytes([n, *t])))
             return
-        # the free cell with the most waiting instances; the first maximum
-        # is the lowest cell among equals
-        sizes = [len(pending[cell]) for cell in free]
-        i = sizes.index(max(sizes))
-        c = free[i]
-        others = free[:i] + free[i + 1:]
-        nodes += n
-        for v in range(n):
+        nodes += top
+        k += 1
+        for v in range(top):
             t[c] = v
             kept = propagate(pending, c, t, n)
             if kept is None:
                 prunes += 1
             else:
-                rest(kept, others)
+                walk(k, kept, free, v if v > mdn else mdn)
         t[c] = None
 
-    head(0, _root(n, mode), 0)
+    walk(0, _root(n, mode), [i * n + j for i in range(1, n) for j in range(1, n)], 0)
     return out, SearchStats(nodes, prunes, leaves, 0)
 
 

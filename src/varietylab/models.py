@@ -32,7 +32,7 @@ one already differs, so at small orders the loop is as fast or faster:
 ``LANE_MIN_ORDER`` is the measured crossover, and it keeps the census,
 whose tables have orders 1 to 4, on the loop.  Above 256 an element does
 not fit a lane.  Each algebra builds its columns and translate maps once,
-on first use.
+on first use.  A sweep of more than ``MAX_ASSIGNMENTS`` = 10^7 is refused.
 
 ``word_value_classes`` is a second, batched route that shares no
 evaluation code with the register programs, their lane columns included.
@@ -230,10 +230,15 @@ def _compile(ident: Identity, letters: tuple) -> tuple:
 # measured on full sweeps and on identities that fail at once
 LANE_MIN_ORDER = 6
 
+# the most assignments _run sweeps: about 1 s at lane orders and up to 5 s
+# on the per-element loop; each further letter multiplies a sweep by n
+MAX_ASSIGNMENTS = 10**7
+
 
 def _run(a: FiniteAlgebra, letters: tuple, program: tuple) -> SatResult:
     """Run a register program over all assignments in lexicographic order;
-    the first one whose sides differ is the witness.
+    the first one whose sides differ is the witness.  A sweep of more than
+    ``MAX_ASSIGNMENTS`` assignments is refused with a ValueError.
 
     One loop per letter, the first letter outermost: the loop of letter j
     sets register j to each element in turn and runs the steps of level j,
@@ -244,6 +249,8 @@ def _run(a: FiniteAlgebra, letters: tuple, program: tuple) -> SatResult:
     differ is the witness's value of that letter."""
     levels, lhs, rhs, plan = program
     table, n, k = a.table, a.order, len(letters)
+    if n**k > MAX_ASSIGNMENTS:
+        raise ValueError(f"{n}^{k} assignments to sweep, above {MAX_ASSIGNMENTS}")
     regs = [a.distinguished] * (k + 1 + sum(map(len, levels)))
 
     def differs(j):

@@ -87,6 +87,13 @@ def test_oracle_missing_algebra(capsys, tmp_path):
         assert code == 2 and err.startswith("error:")
 
 
+def test_oracle_refuses_a_sweep_above_the_assignment_bound(capsys):
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    code, out, err = run(capsys, ["oracle", "builtin:BxK_mod_I", f"{letters} = {letters}"])
+    assert (code, out) == (2, "")
+    assert err == "error: 10^26 assignments to sweep, above 10000000\n"
+
+
 def test_oracle_rejects_too_deep_terms(capsys):
     # both overflowed the interpreter stack before the parser had a bound
     for text in ("x" + "'" * 5000 + "=x", "(" * 2000 + "x" + ">y)" * 2000 + " = x"):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from varietylab import enumeration, models, varieties, verify
 from varietylab.enumeration import (
-    MAX_KEPT_RELABELINGS,
+    MAX_CANONICAL_ORDER,
     MAX_ORDER,
     EnumerationReport,
     SearchStats,
@@ -150,20 +150,22 @@ def test_canonical_form_matches_reference_at_order_six(a):
     assert canonical_form(a) == reference_canonical_form(a)
 
 
-def test_relabeling_tables_kept_are_bounded(monkeypatch):
-    monkeypatch.setattr(enumeration, "_RELABELINGS", {})
-    for n in range(1, 8):
+def test_relabeling_tables_kept_are_bounded():
+    enumeration._relabelings.cache_clear()
+    for n in range(1, MAX_CANONICAL_ORDER + 1):
         canonical_form(make_algebra([[0] * n] * n, n - 1))
-    kept = enumeration._RELABELINGS
-    # order 7's 720 relabelings are built for the call, not kept
-    assert sorted(kept) == [2, 3, 4, 5, 6]
-    assert max(map(len, kept.values())) == MAX_KEPT_RELABELINGS
+    # order 7 is refused, by either route, before its 720 relabelings are built
+    with pytest.raises(ValueError, match="order 7 "):
+        canonical_form(make_algebra([[0] * 7] * 7, 6))
+    with pytest.raises(ValueError, match="order 7 "):
+        canonical_form(bytes([7, *[0] * 49]))
+    assert enumeration._relabelings.cache_info().currsize == 5  # orders 2 to 6
+    assert max(len(enumeration._relabelings(n)) for n in range(2, 7)) == 120
 
 
-def test_order_six_calls_share_one_relabeling_table(monkeypatch):
-    monkeypatch.setattr(enumeration, "_RELABELINGS", {})
+def test_order_six_calls_share_one_relabeling_table():
     canonical_form(make_algebra([[0] * 6] * 6, 0))
-    table = enumeration._RELABELINGS[6]
+    table = enumeration._relabelings(6)
     canonical_form(make_algebra([[p * q % 6 for q in range(6)] for p in range(6)], 0))
     assert enumeration._relabelings(6) is table
 
@@ -189,20 +191,35 @@ def test_order_four_census_matches_pinned_digest(mode):
     assert (len(blobs), hashlib.sha256(b"".join(blobs)).hexdigest()) == ORDER_FOUR_DIGESTS[mode]
 
 
-@pytest.mark.parametrize(
-    "mode, stats",
-    [
-        (Mode.IS, SearchStats(nodes=1983, prunes=1375, leaves=112, leaf_rejects=0)),
-        (Mode.IZ, SearchStats(nodes=12264, prunes=8168, leaves=1029, leaf_rejects=0)),
-    ],
-)
-def test_order_four_search_counts(mode, stats):
+# SearchStats(nodes, prunes, leaves, leaf_rejects) of each walk; orders 1 to
+# 3 taken from the search that filled the prefix and the rest in two walks
+SEARCH_COUNTS = {
+    Mode.IS: {
+        1: SearchStats(1, 0, 1, 0),
+        2: SearchStats(12, 5, 2, 0),
+        3: SearchStats(134, 80, 10, 0),
+        4: SearchStats(1983, 1375, 112, 0),
+    },
+    Mode.IZ: {
+        1: SearchStats(1, 0, 1, 0),
+        2: SearchStats(20, 8, 3, 0),
+        3: SearchStats(386, 231, 27, 0),
+        4: SearchStats(12264, 8168, 1029, 0),
+    },
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
+def test_search_counts(mode, order):
     # each leaf is canonicalised into a set, and check_axioms, run once per
     # class on the output representative, rejects no class the instance
     # checks let through (leaf_rejects counts classes); the other counts pin
     # the pruning, the symmetry breaking and (nodes and prunes only) the
-    # choice of the next cell
-    assert enumerate_algebras(4, mode).stats == stats
+    # choice of the next cell.  At orders 1 to 3 the prefix covers most of
+    # the table, so a wrong bound or handover between the two cell-choice
+    # rules shows there first
+    assert enumerate_algebras(order, mode).stats == SEARCH_COUNTS[mode][order]
 
 
 def test_order_five_associative_census_matches_pinned_digest():
@@ -271,15 +288,12 @@ def test_census_is_one_walk_whatever_jobs(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     monkeypatch.setattr(enumeration, "_cache", {})
-    # the pins of the two tests above
-    for mode, stats in (
-        (Mode.IS, SearchStats(nodes=1983, prunes=1375, leaves=112, leaf_rejects=0)),
-        (Mode.IZ, SearchStats(nodes=12264, prunes=8168, leaves=1029, leaf_rejects=0)),
-    ):
+    # the order-four pins of the tests above
+    for mode in (Mode.IS, Mode.IZ):
         passed, walked = _census(4, mode)
         blobs = blobs_of(passed)
         digest = hashlib.sha256(b"".join(blobs)).hexdigest()
-        assert ((len(blobs), digest), walked) == (ORDER_FOUR_DIGESTS[mode], stats)
+        assert ((len(blobs), digest), walked) == (ORDER_FOUR_DIGESTS[mode], SEARCH_COUNTS[mode][4])
     assert enumerate_algebras(2, Mode.IS, jobs=2).algebras == (
         enumerate_algebras(2, Mode.IS, jobs=1).algebras
     )
@@ -329,6 +343,17 @@ def test_classify_order_four_recovers_K_and_L():
     by_form = {canonical_form(a): a for a in rep.algebras}
     assert models.satisfies(by_form[k_form], "xy = yx")
     assert not models.satisfies(by_form[l_form], "xy = yx")
+
+
+def test_classify_order_five():
+    # every class checked against its variety's keys over the bounded word space
+    counts = classify(enumerate_algebras(5, Mode.IS))
+    histogram = " ".join(f"{v}:{counts[v]}" for v in sorted(counts, key=str))
+    assert histogram == (
+        "B:18 B+ZM:16 IS:2 K:3 L:13 M:20 N:82 SL:5 SL+K:3 SL+L:4 SL+M:14 SL+N:8 SL+ZM:17 ZM:1"
+    )
+    # 14 of the 16 varieties: no order-5 algebra generates T or B+K
+    assert set(Variety) - set(counts) == {Variety.T, Variety.B_K}
 
 
 def test_render_report_format():

@@ -310,6 +310,17 @@ def test_satisfies_all_assignments_count():
     assert satisfies(a, ident)
 
 
+def test_a_sweep_above_the_assignment_bound_is_refused():
+    a = builtin("BxK_mod_I")  # order 10
+    # 10^7 assignments, at the bound, are swept; this identity fails at once
+    assert satisfies(a, "abcdefg = a") == SatResult(False, dict.fromkeys("abcdefg", 0))
+    with pytest.raises(ValueError, match=r"^10\^8 assignments to sweep, above 10000000$"):
+        satisfies(a, "abcdefgh = abcdefgh")
+    # check_axioms sweeps n^3 assignments: 216 is the least order refused
+    with pytest.raises(ValueError, match=r"^216\^3 assignments to sweep"):
+        check_axioms(make_algebra([[0] * 216] * 216, 0), Mode.IS)
+
+
 @pytest.mark.parametrize(
     "n, lanes",
     [(models.LANE_MIN_ORDER - 1, False), (models.LANE_MIN_ORDER, True), (256, True), (257, False)],
