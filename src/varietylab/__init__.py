@@ -27,7 +27,6 @@ from .terms import (
 from .models import (
     AxiomViolationError,
     FiniteAlgebra,
-    NotAnIdealError,
     SatResult,
     VerificationError,
     builtin,

@@ -108,9 +108,10 @@ def canonical_form(a: FiniteAlgebra | bytes) -> bytes:
     The distinguished element d is first swapped with 0 (the identity when
     d = 0).  Every relabeling that sends d to 0 is a relabeling that fixes 0
     after that transposition, so one table of the (n-1)! relabelings that
-    fix 0 serves every d (see `_relabelings`).  Refuses orders above 6."""
+    fix 0 serves every d (see `_relabelings`).  Refuses orders above 6, and
+    bytes that are not an order n >= 1 followed by n*n cells below n."""
     if isinstance(a, bytes):
-        n, flat = a[0], a[1:]
+        n, flat = (a[0], a[1:]) if a else (0, a)
     else:
         n, d, rows = a.order, a.distinguished, a.table
         swap = list(range(n))
@@ -118,6 +119,8 @@ def canonical_form(a: FiniteAlgebra | bytes) -> bytes:
         flat = bytes(swap[rows[swap[p]][swap[q]]] for p in range(n) for q in range(n))
     if n > MAX_CANONICAL_ORDER:
         raise ValueError(f"canonical_form: order {n} is above {MAX_CANONICAL_ORDER}")
+    if not n or len(flat) != n * n or max(flat) >= n:  # in C: every census leaf comes here
+        raise ValueError("canonical_form: bytes must be an order n >= 1, then n*n cells below n")
     if n == 1:  # one cell; an itemgetter of one index would not give a tuple
         return bytes([1, flat[0]])
     return bytes([n]) + min([bytes(get(flat)).translate(pi) for get, pi in _relabelings(n)])

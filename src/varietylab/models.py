@@ -32,7 +32,8 @@ one already differs, so at small orders the loop is as fast or faster:
 ``LANE_MIN_ORDER`` is the measured crossover, and it keeps the census,
 whose tables have orders 1 to 4, on the loop.  Above 256 an element does
 not fit a lane.  Each algebra builds its columns and translate maps once,
-on first use.  A sweep of more than ``MAX_ASSIGNMENTS`` = 10^7 is refused.
+on first use.  One rule refuses, on this route and the next, a sweep of
+more than ``MAX_ASSIGNMENTS`` = 10^7 assignments.
 
 ``word_value_classes`` is a second, batched route that shares no
 evaluation code with the register programs, their lane columns included.
@@ -42,7 +43,7 @@ with whole-vector operations (packed byte lanes again): one carry-free
 big-integer multiply-add puts the index u*n + c of each product's table
 cell in its lane, and one ``bytes.translate`` through the flat table reads
 the cells.  A lane holds at most n*n - 1, so the route serves orders up to
-``MAX_LANE_ORDER`` = 16.
+``MAX_LANE_ORDER`` = 16.  Its letter columns are written in closed form.
 """
 
 from __future__ import annotations
@@ -65,16 +66,6 @@ from .terms import (
     numbered_lines,
     parse_identity,
 )
-
-
-class NotAnIdealError(ValueError):
-    """The given element set is not closed under outer multiplication."""
-
-    def __init__(self, element: int, by: int, product: int, side: str):
-        super().__init__(
-            f"not an ideal: {side} product of {element} by {by} escapes to {product}"
-        )
-        self.witness = (element, by, product, side)
 
 
 class VerificationError(ValueError):
@@ -107,9 +98,7 @@ class FiniteAlgebra:
         for row in self.table:
             if len(row) != n:
                 raise ValueError("table must be square")
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"table entry {v} out of range")
+            _check_range(n, row, "table entry")
         if not 0 <= self.distinguished < n:
             raise ValueError("distinguished element out of range")
         if self.element_names is not None and len(self.element_names) != n:
@@ -138,6 +127,13 @@ class FiniteAlgebra:
     def __repr__(self) -> str:
         label = self.name or f"order-{self.order}"
         return f"FiniteAlgebra({label}, distinguished={self.distinguished})"
+
+
+def _check_range(n: int, values, what: str) -> None:
+    """Refuse the first of values outside 0..n-1, as ``{what} {v} out of range``."""
+    for v in values:
+        if not 0 <= v < n:
+            raise ValueError(f"{what} {v} out of range")
 
 
 def make_algebra(rows, distinguished, name=None, element_names=None) -> FiniteAlgebra:
@@ -235,6 +231,12 @@ LANE_MIN_ORDER = 6
 MAX_ASSIGNMENTS = 10**7
 
 
+def _check_sweep(n: int, k: int) -> None:
+    """Refuse a sweep over the n^k assignments of k letters above ``MAX_ASSIGNMENTS``."""
+    if n**k > MAX_ASSIGNMENTS:
+        raise ValueError(f"{n}^{k} assignments to sweep, above {MAX_ASSIGNMENTS}")
+
+
 def _run(a: FiniteAlgebra, letters: tuple, program: tuple) -> SatResult:
     """Run a register program over all assignments in lexicographic order;
     the first one whose sides differ is the witness.  A sweep of more than
@@ -249,8 +251,7 @@ def _run(a: FiniteAlgebra, letters: tuple, program: tuple) -> SatResult:
     differ is the witness's value of that letter."""
     levels, lhs, rhs, plan = program
     table, n, k = a.table, a.order, len(letters)
-    if n**k > MAX_ASSIGNMENTS:
-        raise ValueError(f"{n}^{k} assignments to sweep, above {MAX_ASSIGNMENTS}")
+    _check_sweep(n, k)
     regs = [a.distinguished] * (k + 1 + sum(map(len, levels)))
 
     def differs(j):
@@ -320,22 +321,26 @@ def word_value_classes(a: FiniteAlgebra, words, letters=("x", "y", "z")) -> dict
     Two words get the same id iff the algebra satisfies their equation, so
     this is ``satisfies`` batched over a family of words sharing an alphabet.
     A vector is ``bytes`` with one lane per assignment, in the order of
-    ``itertools.product``.  A word's vector is its prefix's one symbol
-    shorter, u, times the column c of its last symbol: the big integer of u
-    times n plus the packed c puts u * n + c in each lane with no carry
-    between lanes, and translating through the flat table padded to 256
-    bytes reads each lane's product.  The prefix vectors are kept for the
-    call, so each prefix is multiplied out once, whether or not it is in
-    words and wherever it comes in them.  An order above ``MAX_LANE_ORDER``
-    is a ValueError, and so is a symbol that is neither in letters nor O."""
+    ``itertools.product``: letter j's column repeats each element n^(k-1-j)
+    times and that run n^j times, so no assignment is built.  A word's vector
+    is its prefix's one symbol shorter, u, times the column c of its last
+    symbol: the big integer of u times n plus the packed c puts u * n + c in
+    each lane with no carry between lanes, and translating through the flat
+    table padded to 256 bytes reads each lane's product.  The prefix vectors
+    are kept for the call, so each prefix is multiplied out once, whether or
+    not it is in words and wherever it comes in them.  A ValueError refuses
+    an order above ``MAX_LANE_ORDER``, a sweep above ``MAX_ASSIGNMENTS`` (the
+    bound of ``satisfies``) and a symbol that is neither in letters nor O."""
     n = a.order
     if n > MAX_LANE_ORDER:
         raise ValueError(
             f"word_value_classes packs values in byte lanes: order {n} is above {MAX_LANE_ORDER}"
         )
-    assigns = list(itertools.product(range(n), repeat=len(letters)))
-    size = len(assigns)
-    base = {letter: bytes(asg[k] for asg in assigns) for k, letter in enumerate(letters)}
+    k = len(letters)
+    _check_sweep(n, k)
+    size = n**k
+    columns = (b"".join(bytes((e,)) * n ** (k - 1 - j) for e in range(n)) * n**j for j in range(k))
+    base = dict(zip(letters, columns))
     base[OMEGA] = bytes((a.distinguished,)) * size
     packed = {symbol: int.from_bytes(vec, "big") for symbol, vec in base.items()}
     flat = bytes(itertools.chain.from_iterable(a.table)).ljust(256, b"\0")
@@ -448,15 +453,11 @@ def _quotient_data(a: FiniteAlgebra, ideal: frozenset):
     """Validate the ideal and return (kept original indices, class map old->new)."""
     if not ideal:
         raise ValueError("ideal must be nonempty")
-    for e in ideal:
-        if not 0 <= e < a.order:
-            raise ValueError(f"ideal element {e} out of range")
-    for u in ideal:
-        for v in range(a.order):
-            if a.table[u][v] not in ideal:
-                raise NotAnIdealError(u, v, a.table[u][v], "right")
-            if a.table[v][u] not in ideal:
-                raise NotAnIdealError(u, v, a.table[v][u], "left")
+    _check_range(a.order, ideal, "ideal element")
+    for u, v in itertools.product(ideal, range(a.order)):
+        for side, product in (("right", a.table[u][v]), ("left", a.table[v][u])):
+            if product not in ideal:
+                raise ValueError(f"not an ideal: {side} product of {u} by {v} escapes to {product}")
     rep = min(ideal)
     kept = sorted((set(range(a.order)) - ideal) | {rep})
     newindex = {old: new for new, old in enumerate(kept)}
@@ -476,7 +477,8 @@ def rees_quotient(a: FiniteAlgebra, ideal) -> FiniteAlgebra:
 
 def subalgebra_generated(a: FiniteAlgebra, seed) -> FiniteAlgebra:
     """Closure of seed plus the distinguished element under the operation."""
-    elems = set(seed) | {a.distinguished}
+    elems = set(seed) | {a.distinguished}  # the distinguished element is in range
+    _check_range(a.order, elems, "seed element")
     while True:
         new = {a.table[u][v] for u in elems for v in elems} - elems
         if not new:
@@ -614,9 +616,8 @@ def builtin(name: str) -> FiniteAlgebra:
     if name == "BxK_mod_I":
         prod = direct_product(builtin("B"), builtin("K"))
         zero_k = 3
-        ideal = {i * 4 + zero_k for i in range(3)}
-        quo = rees_quotient(prod, ideal)
-        return FiniteAlgebra(quo.table, quo.distinguished, "BxK_mod_I", quo.element_names)
+        ideal = frozenset(i * 4 + zero_k for i in range(3))
+        return _induced(prod, *_quotient_data(prod, ideal), "BxK_mod_I")
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin algebra {name!r}")
     rows, distinguished, element_names = _BUILTINS[name]

@@ -163,6 +163,16 @@ def test_relabeling_tables_kept_are_bounded():
     assert max(len(enumeration._relabelings(n)) for n in range(2, 7)) == 120
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [bytes([2, 5, 5, 5, 5]), bytes([2, 0, 0]), bytes(6), b""],
+    ids=["cell-above-order", "too-short", "order-0", "empty"],
+)
+def test_canonical_form_refuses_malformed_bytes(blob):
+    with pytest.raises(ValueError, match="^canonical_form: bytes must be an order n >= 1, then"):
+        canonical_form(blob)
+
+
 def test_order_six_calls_share_one_relabeling_table():
     canonical_form(make_algebra([[0] * 6] * 6, 0))
     table = enumeration._relabelings(6)

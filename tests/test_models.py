@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,7 +9,6 @@ from varietylab.models import (
     AxiomViolationError,
     BUILTIN_NAMES,
     FiniteAlgebra,
-    NotAnIdealError,
     SatResult,
     builtin,
     check_axioms,
@@ -23,6 +23,7 @@ from varietylab.models import (
     satisfies,
     subalgebra_generated,
     subdirect_check,
+    word_value_classes,
 )
 from varietylab.terms import Mode, Word, parse_identity, parse_term
 
@@ -163,16 +164,37 @@ def test_rees_quotient():
     assert quo.element_name(0) == "(e,a)" and quo.element_name(5) == "(f,b)"
 
 
+def test_builtin_bxk_mod_i_is_pinned():
+    # B x K with the ideal B x {0} collapsed to its least element, (e,0)
+    a = builtin("BxK_mod_I")
+    assert a.table == (
+        (3, 2, 3, 3, 3, 6, 3, 3, 2, 3),
+        (2, 3, 3, 3, 6, 3, 3, 2, 3, 3),
+        (3, 3, 3, 3, 3, 3, 3, 3, 3, 3),
+        (3, 3, 3, 3, 3, 3, 3, 3, 3, 3),
+        (3, 2, 3, 3, 3, 6, 3, 3, 6, 3),
+        (2, 3, 3, 3, 6, 3, 3, 6, 3, 3),
+        (3, 3, 3, 3, 3, 3, 3, 3, 3, 3),
+        (3, 2, 3, 3, 3, 6, 3, 3, 9, 3),
+        (2, 3, 3, 3, 6, 3, 3, 9, 3, 3),
+        (3, 3, 3, 3, 3, 3, 3, 3, 3, 3),
+    )
+    assert a.distinguished == 3 and a.name == "BxK_mod_I"
+    assert a.element_names == (
+        "(e,a)", "(e,b)", "(e,ab)", "(e,0)", "(f,a)", "(f,b)", "(f,ab)", "(1,a)", "(1,b)", "(1,ab)"
+    )
+
+
 def test_rees_quotient_rejects_non_ideal():
     k = builtin("K")
-    with pytest.raises(NotAnIdealError):
-        rees_quotient(k, {0})  # {a} is not closed: a*b = ab escapes
+    with pytest.raises(ValueError, match="^not an ideal: right product of 0 by 0 escapes to 3$"):
+        rees_quotient(k, {0})  # {a} is not closed: a*a = 0 escapes
     with pytest.raises(ValueError):
         rees_quotient(k, set())
     with pytest.raises(ValueError, match="^ideal element 7 out of range$"):
         rees_quotient(k, {7})
     left_escape = "^not an ideal: left product of 1 by 0 escapes to 2$"
-    with pytest.raises(NotAnIdealError, match=left_escape):
+    with pytest.raises(ValueError, match=left_escape):
         rees_quotient(builtin("L"), {1, 3})
 
 
@@ -185,6 +207,10 @@ def test_subalgebra_generated():
     assert sub.order == 2 and sub.element_names == ("a", "0")
     triv = builtin("trivial")
     assert subalgebra_generated(triv, set()).order == 1
+    # -1 would alias element 3 as a Python index, 7 would be no index at all
+    for bad in (-1, 7):
+        with pytest.raises(ValueError, match=f"^seed element {bad} out of range$"):
+            subalgebra_generated(k, {bad})
 
 
 def test_subdirect_check_builtins():
@@ -287,7 +313,7 @@ def test_parse_algebra_names_the_line():
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^table entry 2 out of range$"):
         FiniteAlgebra(((0, 2), (0, 0)), 0)
     with pytest.raises(ValueError):
         FiniteAlgebra(((0,), (0,)), 0)
@@ -319,6 +345,15 @@ def test_a_sweep_above_the_assignment_bound_is_refused():
     # check_axioms sweeps n^3 assignments: 216 is the least order refused
     with pytest.raises(ValueError, match=r"^216\^3 assignments to sweep"):
         check_axioms(make_algebra([[0] * 216] * 216, 0), Mode.IS)
+    # word_value_classes keeps the same bound, and refuses before it builds a
+    # column: 26 columns of 2^26 byte lanes would take 1.7 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^2\^26 assignments to sweep, above 10000000$"):
+            word_value_classes(builtin("A"), [Word("x")], tuple("abcdefghijklmnopqrstuvwxyz"))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize(
