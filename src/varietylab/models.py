@@ -32,8 +32,7 @@ one already differs, so at small orders the loop is as fast or faster:
 ``LANE_MIN_ORDER`` is the measured crossover, and it keeps the census,
 whose tables have orders 1 to 4, on the loop.  Above 256 an element does
 not fit a lane.  Each algebra builds its columns and translate maps once,
-on first use.  One rule refuses, on this route and the next, a sweep of
-more than ``MAX_ASSIGNMENTS`` = 10^7 assignments.
+on first use.  A sweep of more than ``MAX_ASSIGNMENTS`` = 10^7 is refused.
 
 ``word_value_classes`` is a second, batched route that shares no
 evaluation code with the register programs, their lane columns included.
@@ -43,7 +42,7 @@ with whole-vector operations (packed byte lanes again): one carry-free
 big-integer multiply-add puts the index u*n + c of each product's table
 cell in its lane, and one ``bytes.translate`` through the flat table reads
 the cells.  A lane holds at most n*n - 1, so the route serves orders up to
-``MAX_LANE_ORDER`` = 16.  Its letter columns are written in closed form.
+``MAX_LANE_ORDER`` = 16.  Same sweep bound; its columns are closed-form.
 """
 
 from __future__ import annotations
@@ -321,16 +320,16 @@ def word_value_classes(a: FiniteAlgebra, words, letters=("x", "y", "z")) -> dict
     Two words get the same id iff the algebra satisfies their equation, so
     this is ``satisfies`` batched over a family of words sharing an alphabet.
     A vector is ``bytes`` with one lane per assignment, in the order of
-    ``itertools.product``: letter j's column repeats each element n^(k-1-j)
-    times and that run n^j times, so no assignment is built.  A word's vector
-    is its prefix's one symbol shorter, u, times the column c of its last
-    symbol: the big integer of u times n plus the packed c puts u * n + c in
-    each lane with no carry between lanes, and translating through the flat
-    table padded to 256 bytes reads each lane's product.  The prefix vectors
-    are kept for the call, so each prefix is multiplied out once, whether or
-    not it is in words and wherever it comes in them.  A ValueError refuses
-    an order above ``MAX_LANE_ORDER``, a sweep above ``MAX_ASSIGNMENTS`` (the
-    bound of ``satisfies``) and a symbol that is neither in letters nor O."""
+    ``itertools.product``: of k letters, letter j's column repeats each
+    element n^(k-1-j) times and that run n^j times; no assignment is built.
+    A word's vector is its prefix's one symbol shorter, u, times the column c
+    of its last symbol: the big integer of u times n plus the packed c puts
+    u * n + c in each lane with no carry between lanes, and translating
+    through the flat table padded to 256 bytes reads each lane's product.
+    The prefix vectors are kept for the call, so each prefix is multiplied
+    out once, whether or not it is in words and wherever it comes in them.
+    A ValueError refuses an order above ``MAX_LANE_ORDER``, a sweep above
+    ``MAX_ASSIGNMENTS`` and a symbol that is neither in letters nor O."""
     n = a.order
     if n > MAX_LANE_ORDER:
         raise ValueError(
@@ -339,7 +338,7 @@ def word_value_classes(a: FiniteAlgebra, words, letters=("x", "y", "z")) -> dict
     k = len(letters)
     _check_sweep(n, k)
     size = n**k
-    columns = (b"".join(bytes((e,)) * n ** (k - 1 - j) for e in range(n)) * n**j for j in range(k))
+    columns = [b"".join(bytes((e,)) * n ** (k - 1 - j) for e in range(n)) * n**j for j in range(k)]
     base = dict(zip(letters, columns))
     base[OMEGA] = bytes((a.distinguished,)) * size
     packed = {symbol: int.from_bytes(vec, "big") for symbol, vec in base.items()}
@@ -454,10 +453,12 @@ def _quotient_data(a: FiniteAlgebra, ideal: frozenset):
     if not ideal:
         raise ValueError("ideal must be nonempty")
     _check_range(a.order, ideal, "ideal element")
-    for u, v in itertools.product(ideal, range(a.order)):
-        for side, product in (("right", a.table[u][v]), ("left", a.table[v][u])):
-            if product not in ideal:
-                raise ValueError(f"not an ideal: {side} product of {u} by {v} escapes to {product}")
+    for u in ideal:
+        for v in range(a.order):
+            if a.table[u][v] not in ideal:
+                raise ValueError(f"not an ideal: right product of {u} by {v} escapes to {a.table[u][v]}")
+            if a.table[v][u] not in ideal:
+                raise ValueError(f"not an ideal: left product of {u} by {v} escapes to {a.table[v][u]}")
     rep = min(ideal)
     kept = sorted((set(range(a.order)) - ideal) | {rep})
     newindex = {old: new for new, old in enumerate(kept)}
@@ -615,8 +616,7 @@ def builtin(name: str) -> FiniteAlgebra:
     tree-mode algebras, and the Rees quotient of B x K."""
     if name == "BxK_mod_I":
         prod = direct_product(builtin("B"), builtin("K"))
-        zero_k = 3
-        ideal = frozenset(i * 4 + zero_k for i in range(3))
+        ideal = frozenset(i * 4 + 3 for i in range(3))  # B x {0}: K's zero is its element 3
         return _induced(prod, *_quotient_data(prod, ideal), "BxK_mod_I")
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin algebra {name!r}")

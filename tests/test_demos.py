@@ -1,4 +1,5 @@
-"""Every demo runs to exit 0 and prints the same bytes under any hash seed."""
+"""Every demo runs to exit 0, with warnings as errors, and prints the same
+bytes under any hash seed."""
 
 import os
 import subprocess
@@ -13,8 +14,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 def run_demo(path, hash_seed):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    # pytest's -W error does not reach a subprocess, so the demo gets its own
     env = dict(
-        os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(filter(None, paths))
+        os.environ,
+        PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=os.pathsep.join(filter(None, paths)),
+        PYTHONDEVMODE="1",
+        PYTHONWARNINGS="error",
     )
     return subprocess.run(
         [sys.executable, str(path)], capture_output=True, text=True, env=env, timeout=60
