@@ -64,11 +64,11 @@ def _bits(mask: int):
 class FiniteLattice:
     """Immutable finite lattice over hashable element labels.
 
-    ``leq[i][j]`` means element i is below element j.  The order is kept as
-    int bitsets: bit j of ``_up[i]`` (and bit i of ``_down[j]``) is set iff
-    element i is below element j.  Join and meet tables are computed
-    eagerly; construction fails if any pair lacks a unique least upper or
-    greatest lower bound.
+    ``leq(x, y)`` is the order as a relation on the labels: true iff x is
+    below y, asked once per ordered pair.  It is kept as int bitsets: bit j
+    of ``_up[i]`` (and bit i of ``_down[j]``) is set iff element i is below
+    element j.  Join and meet tables are computed eagerly; construction
+    fails if any pair lacks a unique least upper or greatest lower bound.
     """
 
     def __init__(self, elements, leq):
@@ -76,10 +76,7 @@ class FiniteLattice:
         n = len(self.elements)
         if len(set(self.elements)) != n:
             raise LatticeError("duplicate elements")
-        rows = [tuple(map(bool, row)) for row in leq]
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise LatticeError(f"order matrix must be {n}x{n}")
-        up = [sum(1 << j for j, below in enumerate(row) if below) for row in rows]
+        up = [sum(1 << j for j, y in enumerate(self.elements) if leq(x, y)) for x in self.elements]
         for i in range(n):
             if not up[i] >> i & 1:
                 raise LatticeError(f"not reflexive at {self.elements[i]}")
@@ -162,11 +159,7 @@ class FiniteLattice:
     def restrict(self, subset) -> "FiniteLattice":
         # induced order; bounds are recomputed, so pass a join/meet-closed
         # subset (a down-set, a chain) when sublattice structure matters
-        keep = [self._index[x] for x in subset]
-        return FiniteLattice(
-            tuple(self.elements[i] for i in keep),
-            [[self._up[i] >> j & 1 for j in keep] for i in keep],
-        )
+        return FiniteLattice(subset, self.leq)
 
     def down_set(self, x) -> "FiniteLattice":
         return self.restrict(self.elements[i] for i in _bits(self._down[self._index[x]]))
@@ -184,7 +177,7 @@ class FiniteLattice:
             for i in range(n):
                 if up[i] >> k & 1:
                     up[i] |= up[k]
-        return cls(elements, [[up[i] >> j & 1 for j in range(n)] for i in range(n)])
+        return cls(elements, lambda x, y: up[index[x]] >> index[y] & 1)
 
     def to_dot(self) -> str:
         """Hasse diagram, edges bottom to top, byte-stable ordering."""
@@ -200,9 +193,7 @@ class FiniteLattice:
 def build_lattice() -> FiniteLattice:
     """Compute the subvariety order from generators and bases, then insist it
     reproduces the expected 16 elements and 25 covers."""
-    elems = tuple(varieties.registry())
-    leq = [[varieties.generator_leq(v, w) for w in elems] for v in elems]
-    lat = FiniteLattice(elems, leq)
+    lat = FiniteLattice(varieties.registry(), varieties.generator_leq)
     if len(lat.elements) != 16:
         raise LatticeError(f"expected 16 elements, built {len(lat.elements)}")
     computed = set(lat.covers())
@@ -238,19 +229,20 @@ def find_n5(lat: FiniteLattice):
 
 def is_distributive(lat: FiniteLattice):
     """Exhaustive triple check of meet-over-join distributivity."""
-    for x, y, z in itertools.product(lat.elements, repeat=3):
-        if lat.meet(x, lat.join(y, z)) != lat.join(lat.meet(x, y), lat.meet(x, z)):
-            return False, (x, y, z)
+    j, m = lat._join, lat._meet
+    for x, y, z in itertools.product(range(len(lat)), repeat=3):
+        if m[x][j[y][z]] != j[m[x][y]][m[x][z]]:
+            return False, tuple(lat.elements[k] for k in (x, y, z))
     return True, None
 
 
 def is_zero_distributive(lat: FiniteLattice):
     """x^z = y^z = bottom forces (x v y)^z = bottom, checked exhaustively."""
-    bottom = lat.least()
-    for x, y, z in itertools.product(lat.elements, repeat=3):
-        if lat.meet(x, z) == bottom and lat.meet(y, z) == bottom:
-            if lat.meet(lat.join(x, y), z) != bottom:
-                return False, (x, y, z)
+    j, m, bottom = lat._join, lat._meet, lat.index(lat.least())
+    for x, y, z in itertools.product(range(len(lat)), repeat=3):
+        if m[x][z] == bottom and m[y][z] == bottom:
+            if m[j[x][y]][z] != bottom:
+                return False, tuple(lat.elements[k] for k in (x, y, z))
     return True, None
 
 

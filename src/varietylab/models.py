@@ -48,7 +48,7 @@ the cells.  A lane holds at most n*n - 1, so the route serves orders up to
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import getitem
 
@@ -98,8 +98,7 @@ class FiniteAlgebra:
             if len(row) != n:
                 raise ValueError("table must be square")
             _check_range(n, row, "table entry")
-        if not 0 <= self.distinguished < n:
-            raise ValueError("distinguished element out of range")
+        _check_range(n, (self.distinguished,), "distinguished element")
         if self.element_names is not None and len(self.element_names) != n:
             raise ValueError("element_names length mismatch")
 
@@ -129,9 +128,9 @@ class FiniteAlgebra:
 
 
 def _check_range(n: int, values, what: str) -> None:
-    """Refuse the first of values outside 0..n-1, as ``{what} {v} out of range``."""
+    """Refuse the first of values not an int in 0..n-1, as ``{what} {v} out of range``."""
     for v in values:
-        if not 0 <= v < n:
+        if type(v) is not int or not 0 <= v < n:
             raise ValueError(f"{what} {v} out of range")
 
 
@@ -489,14 +488,14 @@ def subalgebra_generated(a: FiniteAlgebra, seed) -> FiniteAlgebra:
     return _induced(a, kept, {old: new for new, old in enumerate(kept)}, None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubdirectReport:
     """Outcome of decomposing an algebra over its central idempotent."""
 
     passed: bool
     band: FiniteAlgebra
     nil: FiniteAlgebra
-    failures: list = field(default_factory=list)
+    failures: tuple = ()
 
     def __bool__(self) -> bool:
         return self.passed
@@ -545,7 +544,7 @@ def subdirect_check(a: FiniteAlgebra) -> SubdirectReport:
         failures.append("ideal part is not a band")
     if not satisfies(nil, _NIL_LAW):
         failures.append("quotient does not kill triple products")
-    return SubdirectReport(not failures, band, nil, failures)
+    return SubdirectReport(not failures, band, nil, tuple(failures))
 
 
 def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:

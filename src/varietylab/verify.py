@@ -45,6 +45,7 @@ from .terms import (
     Arrow,
     Identity,
     Mode,
+    ParseError,
     Word,
     ZERO,
     contains_square,
@@ -69,7 +70,7 @@ _SQUARES_VANISH, _COMMUTATIVE = map(parse_identity, ("xx = O", "xy = yx"))
 _IDEMPOTENT, _RIGHT_UNIT, _LEFT_UNIT = map(parse_identity, ("xx = x", "xO = x", "Ox = x"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -567,10 +568,10 @@ def example_checks() -> list:
     checks = [
         ("parse plain word", lambda: parse_identity("xyz = xyz").lhs == Word("xyz")),
         ("parse wrapped word", lambda: Word("zOxyzOO").symbols == "zOxyzOO"),
-        ("empty word rejected", lambda: _raises(lambda: parse_identity("= x"))),
+        ("empty word rejected", lambda: _raises(ParseError, lambda: parse_identity("= x"))),
         ("parse primed zero", lambda: parse_term("0'") == Arrow(ZERO, ZERO)),
         ("parse nested arrows", lambda: str(parse_term("((x>y)>z)")) == "((x>y)>z)"),
-        ("unbalanced rejected", lambda: _raises(lambda: parse_term("(x>y"))),
+        ("unbalanced rejected", lambda: _raises(ParseError, lambda: parse_term("(x>y"))),
         ("content of xyx", lambda: content(Word("xyx")) == {"x", "y"}),
         ("content of OO", lambda: content(Word("OO")) == frozenset()),
         ("content of wrap", lambda: content(Word("zOxyzOO")) == {"x", "y", "z"}),
@@ -764,6 +765,7 @@ def example_checks() -> list:
         (
             "two constants do not match three",
             lambda: _raises(
+                derivations.StepError,
                 lambda: derivations.apply_step(
                     Word("xOO"),
                     derivations.Step("A2", derivations.Direction.L2R, (1, 3), {}, Word("O")),
@@ -806,10 +808,11 @@ def _mode_builtins(mode: Mode):
     return [builtin(n) for n in names]
 
 
-def _raises(fn) -> bool:
+def _raises(error: type[Exception], fn) -> bool:
+    """Whether fn() raises error; any other exception propagates."""
     try:
         fn()
-    except Exception:
+    except error:
         return True
     return False
 

@@ -148,6 +148,31 @@ def reference_neutral_elements(lat):
     return frozenset(out)
 
 
+def reference_is_distributive(lat):
+    """The former is_distributive: the triple check on element labels."""
+    for x, y, z in itertools.product(lat.elements, repeat=3):
+        if lat.meet(x, lat.join(y, z)) != lat.join(lat.meet(x, y), lat.meet(x, z)):
+            return False, (x, y, z)
+    return True, None
+
+
+def reference_is_zero_distributive(lat):
+    """The former is_zero_distributive: the triple check on element labels."""
+    bottom = lat.least()
+    for x, y, z in itertools.product(lat.elements, repeat=3):
+        if lat.meet(x, z) == bottom and lat.meet(y, z) == bottom:
+            if lat.meet(lat.join(x, y), z) != bottom:
+                return False, (x, y, z)
+    return True, None
+
+
+def assert_criteria_agree_with_reference(sub):
+    assert find_n5(sub) == reference_find_n5(sub)
+    assert neutral_elements(sub) == reference_neutral_elements(sub)
+    assert is_distributive(sub) == reference_is_distributive(sub)
+    assert is_zero_distributive(sub) == reference_is_zero_distributive(sub)
+
+
 PENTAGON = FiniteLattice.from_cover_pairs(
     "oacbi", (("o", "a"), ("a", "c"), ("c", "i"), ("o", "b"), ("b", "i"))
 )
@@ -168,8 +193,7 @@ def test_pinned_pentagon_and_neutral_elements(lat):
 def test_criteria_agree_with_reference_on_known_lattices(lat):
     lattices = [lat.down_set(v) for v in lat.elements] + [PENTAGON, M3, CHAIN]
     for sub in lattices:
-        assert find_n5(sub) == reference_find_n5(sub)
-        assert neutral_elements(sub) == reference_neutral_elements(sub)
+        assert_criteria_agree_with_reference(sub)
 
 
 @st.composite
@@ -186,14 +210,13 @@ def closure_systems(draw):
             break
         family = closed
     elements = draw(st.permutations(sorted(family)))
-    return FiniteLattice(elements, [[a & ~b == 0 for b in elements] for a in elements])
+    return FiniteLattice(elements, lambda a, b: a & ~b == 0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(closure_systems())
 def test_criteria_agree_with_reference_on_random_lattices(sub):
-    assert find_n5(sub) == reference_find_n5(sub)
-    assert neutral_elements(sub) == reference_neutral_elements(sub)
+    assert_criteria_agree_with_reference(sub)
 
 
 def test_distributivity(lat):
@@ -260,19 +283,23 @@ def test_order_decision_consistency(lat):
                     assert varieties.decide(v, ident)
 
 
+def relation(pairs: str):
+    """The relation that holds on exactly the pairs xy listed, space-separated."""
+    held = set(pairs.split())
+    return lambda x, y: x + y in held
+
+
 def test_invalid_orders_rejected():
     with pytest.raises(LatticeError):
-        FiniteLattice(("a", "b"), [[True, False], [False, False]])
+        FiniteLattice(("a", "b"), relation("aa"))
     with pytest.raises(LatticeError):
-        FiniteLattice(("a", "b"), [[True, True], [True, True]])
+        FiniteLattice(("a", "b"), relation("aa ab ba bb"))
     with pytest.raises(LatticeError, match="not transitive at \\(a, b, c\\)"):
-        FiniteLattice(("a", "b", "c"), [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-    with pytest.raises(LatticeError, match="2x2"):
-        FiniteLattice(("a", "b"), [[True, True]])
+        FiniteLattice(("a", "b", "c"), relation("aa ab bb bc cc"))
     # three pairwise-incomparable elements have no joins
     with pytest.raises(LatticeError):
-        FiniteLattice(("a", "b", "c"), [[i == j for j in range(3)] for i in range(3)])
+        FiniteLattice(("a", "b", "c"), relation("aa bb cc"))
     with pytest.raises(LatticeError, match="^duplicate elements$"):
-        FiniteLattice(("a", "a"), [[1, 1], [1, 1]])
+        FiniteLattice(("a", "a"), relation("aa"))
     with pytest.raises(LatticeError, match="^no least element$"):
-        FiniteLattice((), []).least()
+        FiniteLattice((), relation("")).least()

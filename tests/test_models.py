@@ -193,6 +193,8 @@ def test_rees_quotient_rejects_non_ideal():
         rees_quotient(k, set())
     with pytest.raises(ValueError, match="^ideal element 7 out of range$"):
         rees_quotient(k, {7})
+    with pytest.raises(ValueError, match="^ideal element 3.0 out of range$"):
+        rees_quotient(k, {3.0})
     left_escape = "^not an ideal: left product of 1 by 0 escapes to 2$"
     with pytest.raises(ValueError, match=left_escape):
         rees_quotient(builtin("L"), {1, 3})
@@ -207,8 +209,8 @@ def test_subalgebra_generated():
     assert sub.order == 2 and sub.element_names == ("a", "0")
     triv = builtin("trivial")
     assert subalgebra_generated(triv, set()).order == 1
-    # -1 would alias element 3 as a Python index, 7 would be no index at all
-    for bad in (-1, 7):
+    # -1 would alias element 3 as a Python index, 7 and "a" would be no index at all
+    for bad in (-1, 7, "a"):
         with pytest.raises(ValueError, match=f"^seed element {bad} out of range$"):
             subalgebra_generated(k, {bad})
 
@@ -232,9 +234,9 @@ def test_subdirect_check_reports_a_failing_constant_law(monkeypatch):
     monkeypatch.setattr(models, "_CONSTANT_LAWS", (*models._CONSTANT_LAWS, planted))
     rep = subdirect_check(builtin("B"))
     assert not rep.passed
-    assert rep.failures == ["constant law xx = O fails at {'x': 0}"]
+    assert rep.failures == ("constant law xx = O fails at {'x': 0}",)
     # in M, a*a = 0 is the constant and b*b is not
-    assert subdirect_check(builtin("M")).failures == ["constant law xx = O fails at {'x': 1}"]
+    assert subdirect_check(builtin("M")).failures == ("constant law xx = O fails at {'x': 1}",)
 
 
 def test_subdirect_check_reports_a_pair_map_that_is_not_injective(monkeypatch):
@@ -246,26 +248,26 @@ def test_subdirect_check_reports_a_pair_map_that_is_not_injective(monkeypatch):
         return kept, {**cls, 3: cls[4]}
 
     monkeypatch.setattr(models, "_quotient_data", merged)
-    assert subdirect_check(builtin("M")).failures == ["pair map not injective: 3 and 4 collide"]
+    assert subdirect_check(builtin("M")).failures == ("pair map not injective: 3 and 4 collide",)
 
 
 def test_subdirect_check_reports_a_second_component_that_is_no_homomorphism(monkeypatch):
     # a quotient of M whose products are all 0, though a*b, b*a and b*b are not
     monkeypatch.setattr(models, "rees_quotient", lambda a, ideal: make_algebra([[4] * 5] * 5, 4))
-    assert subdirect_check(builtin("M")).failures == [
+    assert subdirect_check(builtin("M")).failures == tuple(
         f"second component not a homomorphism at {pair}" for pair in ("(0,1)", "(1,0)", "(1,1)")
-    ]
+    )
 
 
 def test_subdirect_check_reports_an_ideal_part_that_is_no_band(monkeypatch):
     monkeypatch.setattr(models, "subalgebra_generated", lambda a, seed: builtin("Z"))
-    assert subdirect_check(builtin("B")).failures == ["ideal part is not a band"]
+    assert subdirect_check(builtin("B")).failures == ("ideal part is not a band",)
 
 
 def test_subdirect_check_reports_a_quotient_that_keeps_a_triple_product(monkeypatch):
     # B's quotient is trivial; A agrees with it on the class 0 but 0*0*0 = 0 is not O = 1
     monkeypatch.setattr(models, "rees_quotient", lambda a, ideal: builtin("A"))
-    assert subdirect_check(builtin("B")).failures == ["quotient does not kill triple products"]
+    assert subdirect_check(builtin("B")).failures == ("quotient does not kill triple products",)
 
 
 def test_is_isomorphic():
@@ -319,8 +321,13 @@ def test_table_validation():
         FiniteAlgebra(((0,), (0,)), 0)
     with pytest.raises(ValueError, match="^algebras have at least one element$"):
         FiniteAlgebra((), 0)
-    with pytest.raises(ValueError, match="^distinguished element out of range$"):
+    with pytest.raises(ValueError, match="^distinguished element 1 out of range$"):
         FiniteAlgebra(((0,),), 1)
+    # elements are ints: a float entry or constant would pass the range test
+    with pytest.raises(ValueError, match="^table entry 0.0 out of range$"):
+        make_algebra([[0.0, 1], [1, 1]], 0)
+    with pytest.raises(ValueError, match="^distinguished element 0.0 out of range$"):
+        make_algebra([[0, 1], [1, 1]], 0.0)
     with pytest.raises(ValueError, match="^element_names length mismatch$"):
         FiniteAlgebra(((0,),), 0, None, ("a", "b"))
 
