@@ -145,10 +145,9 @@ def apply_step(term, step: Step, rules: dict):
     if not flat:
         return _rewrite_at(term, "" if step.position == "e" else step.position, rewrite)
     i, j = step.position
-    s = term.symbols
-    if not (1 <= i <= j <= len(s)):
-        raise StepError(f"range {i}..{j} outside word of length {len(s)}")
-    return Word(s[: i - 1] + rewrite(Word(s[i - 1:j])).symbols + s[j:])
+    if not (1 <= i <= j <= len(term)):
+        raise StepError(f"range {i}..{j} outside word of length {len(term)}")
+    return Word(term[: i - 1] + rewrite(term[i - 1:j]) + term[j:])
 
 
 def replay(script: Script) -> ReplayResult:

@@ -151,7 +151,7 @@ def evaluate(a: FiniteAlgebra, t, assignment: dict) -> int:
     """Value of a word (left fold) or tree term (recursion) under an assignment."""
     if isinstance(t, Word):
         acc = None
-        for ch in t.symbols:
+        for ch in t:
             v = a.distinguished if ch == "O" else _lookup(assignment, ch)
             acc = v if acc is None else a.table[acc][v]
         return acc
@@ -201,7 +201,7 @@ def _compile(ident: Identity, letters: tuple) -> tuple:
 
     def word(w):
         acc = None
-        for ch in w.symbols:
+        for ch in w:
             r = 0 if ch == OMEGA else register[ch]
             acc = r if acc is None else step(acc, r)
         return acc
@@ -342,24 +342,23 @@ def word_value_classes(a: FiniteAlgebra, words, letters=("x", "y", "z")) -> dict
     base[OMEGA] = bytes((a.distinguished,)) * size
     packed = {symbol: int.from_bytes(vec, "big") for symbol, vec in base.items()}
     flat = bytes(itertools.chain.from_iterable(a.table)).ljust(256, b"\0")
-    vectors = dict(base)  # symbols of a word -> its value vector
+    vectors = dict(base)  # a word or prefix -> its value vector
     ids: dict = {}
     class_of: dict = {}
     for w in words:
-        s = w.symbols
-        vec = vectors.get(s)
+        vec = vectors.get(w)
         if vec is None:
             try:
                 # the longest prefix already known; a single symbol is in base
-                k = len(s) - 1
-                while k > 1 and s[:k] not in vectors:
-                    k -= 1
-                vec = vectors[s[:k]]
-                for k in range(k, len(s)):
-                    lanes = int.from_bytes(vec, "big") * n + packed[s[k]]
-                    vec = vectors[s[:k + 1]] = lanes.to_bytes(size, "big").translate(flat)
+                i = len(w) - 1
+                while i > 1 and w[:i] not in vectors:
+                    i -= 1
+                vec = vectors[w[:i]]
+                for i in range(i, len(w)):
+                    lanes = int.from_bytes(vec, "big") * n + packed[w[i]]
+                    vec = vectors[w[:i + 1]] = lanes.to_bytes(size, "big").translate(flat)
             except KeyError:  # a lookup misses only on a symbol outside base
-                bad = next(c for c in s if c not in base)
+                bad = next(c for c in w if c not in base)
                 symbols = ", ".join(base)
                 raise ValueError(f"word {w} has symbol {bad!r}, not one of {symbols}") from None
         class_of[w] = ids.setdefault(vec, len(ids))

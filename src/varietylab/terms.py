@@ -2,11 +2,11 @@
 
 Two syntaxes live here.  Associative mode works with flat words over the
 letters a-z plus the distinguished constant, written ``O``; bracketing is
-meaningless, so a word is just a nonempty string of symbols.  Tree mode works
-with fully parenthesised binary terms over ``>`` with the constant ``0``; a
-postfix prime is sugar for ``(t>0)``.  ``AXIOM_TEXTS`` holds the two
-defining identities of implication semigroups in each syntax; the axiom
-check and the derivation checker both read them from here.  Words, terms and
+meaningless, so a word is its text: a ``str`` of one or more symbols.  Tree
+mode works with fully parenthesised binary terms over ``>`` with the constant
+``0``; a postfix prime is sugar for ``(t>0)``.  ``AXIOM_TEXTS`` holds the two
+defining identities of implication semigroups in each syntax; the axiom check
+and the derivation checker both read them from here.  Words, terms and
 identities render with ``str``.
 """
 
@@ -66,57 +66,46 @@ def numbered_lines(text: str) -> tuple:
 # Flat words
 
 
-@dataclass(frozen=True, eq=False)
-class Word:
-    """Nonempty sequence of letters and ``O``.  Immutable and hashable.
+class Word(str):
+    """Nonempty string of letters and ``O``: a word is its text.  Equality,
+    hash, length, iteration and ``str`` are the string's own, so a Word
+    equals the plain ``str`` of its text; slices and ``str`` methods return
+    plain strings, and only the constructor and ``+`` make a checked Word."""
 
-    Equality and hash are those of ``symbols``, written out so that a hash
-    is one call on the string, which caches it, rather than on a one-field
-    tuple; a Word still never equals a ``str``."""
+    __slots__ = ()
 
-    symbols: str
-
-    def __post_init__(self):
-        if not self.symbols:
+    def __new__(cls, symbols: str):
+        if not symbols:
             raise ValueError("words are nonempty")
-        invalid = self.symbols.translate(_DROP_WORD_SYMBOLS)
+        invalid = symbols.translate(_DROP_WORD_SYMBOLS)
         if invalid:
             raise ValueError(f"invalid word symbol {invalid[0]!r}")
+        return super().__new__(cls, symbols)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.symbols == other.symbols
-        return NotImplemented
+    def __add__(self, other: str) -> "Word":
+        return Word(str.__add__(self, other))
 
-    def __hash__(self) -> int:
-        return hash(self.symbols)
-
-    def __str__(self) -> str:
-        return self.symbols
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __add__(self, other: "Word") -> "Word":
-        return Word(self.symbols + other.symbols)
+    def __repr__(self) -> str:
+        return f"Word({str.__repr__(self)})"
 
 
 def parse_word(text: str) -> Word:
     """Parse a flat word; whitespace is ignored, anything else must be a-z or O."""
     symbols = "".join(text.split())
-    invalid = symbols.translate(_DROP_WORD_SYMBOLS)
-    if invalid:
+    try:
+        return Word(symbols)
+    except ValueError:
+        invalid = symbols.translate(_DROP_WORD_SYMBOLS)
+        if not invalid:
+            raise ParseError("empty word", len(text)) from None
         # its first occurrence in text: any earlier one would come first here too
-        raise ParseError(f"unexpected character {invalid[0]!r}", text.index(invalid[0]))
-    if not symbols:
-        raise ParseError("empty word", len(text))
-    return Word(symbols)
+        raise ParseError(f"unexpected character {invalid[0]!r}", text.index(invalid[0])) from None
 
 
 @lru_cache(maxsize=1 << 16)
 def content(w: Word) -> frozenset:
     """The set of letters occurring in w (``O`` excluded)."""
-    return frozenset(ch for ch in w.symbols if ch != OMEGA)
+    return frozenset(ch for ch in w if ch != OMEGA)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -128,7 +117,7 @@ def los(w: Word):
     word.
     """
     last = {}
-    for i, ch in enumerate(w.symbols):
+    for i, ch in enumerate(w):
         if ch != OMEGA:
             last[ch] = i
     if not last:
@@ -138,25 +127,24 @@ def los(w: Word):
 
 def length(w: Word):
     """Symbol count for pure semigroup words, ``math.inf`` once O appears."""
-    return math.inf if OMEGA in w.symbols else len(w.symbols)
+    return math.inf if OMEGA in w else len(w)
 
 
 @lru_cache(maxsize=1 << 16)
 def contains_square(w: Word) -> bool:
     """True iff w = a b b c for some nonempty factor b (b may contain O)."""
-    s = w.symbols
-    n = len(s)
+    n = len(w)
     for i in range(n - 1):
         for k in range(1, (n - i) // 2 + 1):
-            if s[i:i + k] == s[i + k:i + 2 * k]:
+            if w[i:i + k] == w[i + k:i + 2 * k]:
                 return True
     return False
 
 
 def substitute(w: Word, mapping: dict) -> Word:
     """Replace each letter by its image word; O is fixed, absent letters too."""
-    table = {ord(ch): img.symbols for ch, img in mapping.items() if ch in _LETTERS}
-    return Word(w.symbols.translate(table))
+    table = {ord(ch): img for ch, img in mapping.items() if ch in _LETTERS}
+    return Word(w.translate(table))
 
 
 def normalize_is(w: Word) -> Word:
@@ -171,7 +159,7 @@ def normalize_is(w: Word) -> Word:
     base = los(w)
     if base is None:
         return Word(OMEGA)
-    return Word(base.symbols + OMEGA)
+    return base + OMEGA
 
 
 # ---------------------------------------------------------------------------

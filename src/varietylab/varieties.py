@@ -135,10 +135,9 @@ def _vanishing(limit: int, commutative: bool = False, squares: bool = False):
     its letters, sorted when the variety is commutative."""
 
     def vanishing_key(w: Word):
-        s = w.symbols
-        if OMEGA in s or len(s) >= limit or (squares and len(s) == 2 and s[0] == s[1]):
+        if OMEGA in w or len(w) >= limit or (squares and len(w) == 2 and w[0] == w[1]):
             return None
-        return "".join(sorted(s)) if commutative else s
+        return "".join(sorted(w)) if commutative else w
 
     return vanishing_key
 
@@ -156,8 +155,12 @@ _COMPONENT_KEYS = {
 
 def key(v: Variety, w: Word) -> tuple:
     """Normal-form key of w in v: u = w holds in v iff key(v, u) == key(v, w)."""
+    try:
+        components = _TABLE[v][0]
+    except KeyError:
+        raise ValueError(f"unknown variety {v!r}") from None
     # _COMPONENT_KEYS is read on every call, so a key patched there is seen
-    return tuple([_COMPONENT_KEYS[c](w) for c in _TABLE[v][0]])
+    return tuple([_COMPONENT_KEYS[c](w) for c in components])
 
 
 def decide(v: Variety, ident) -> bool:

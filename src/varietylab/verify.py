@@ -421,7 +421,7 @@ def invariant_substitution_closure(seed: int, samples: int = 1000) -> CheckResul
         sides = [
             side.translate(table)
             for (u, w), table in zip(pairs, tables)
-            for side in (u.symbols, w.symbols)
+            for side in (u, w)
         ]
         texts = list(dict.fromkeys(sides))  # each distinct text once, by first occurrence
         id_of = dict(zip(texts, varieties.key_ids(v, [Word(s) for s in texts])))
@@ -447,14 +447,14 @@ def _holding_pairs(v: Variety, words) -> list:
 
 
 def _images_by_weight(images) -> list:
-    """The symbols of each image word of length 1..3, repeated 4**(3 - len)
-    times, in proportion to (1/3) * 4**-len, the chance of a length uniform
-    on 1..3 and then of each of its symbols uniform on four: 192 entries for
-    the 84 words of length <= 3.  An unweighted draw from them reads the same
+    """Each image word of length 1..3, repeated 4**(3 - len) times, in
+    proportion to (1/3) * 4**-len, the chance of a length uniform on 1..3
+    and then of each of its symbols uniform on four: 192 entries for the 84
+    words of length <= 3.  An unweighted draw from them reads the same
     `random()` values and picks the same words as a draw from the images by
     those weights, since floor(r * 192) falls in a word's run of entries iff
     r * 192 falls in its interval of the cumulative weights."""
-    return [w.symbols for w in images for _ in range(4 ** (3 - len(w)))]
+    return [w for w in images for _ in range(4 ** (3 - len(w)))]
 
 
 def invariant_product_law(seed: int) -> CheckResult:
@@ -567,7 +567,7 @@ def example_checks() -> list:
     is_rules = {r.label: r for r in derivations._axioms(Mode.IS)}
     checks = [
         ("parse plain word", lambda: parse_identity("xyz = xyz").lhs == Word("xyz")),
-        ("parse wrapped word", lambda: Word("zOxyzOO").symbols == "zOxyzOO"),
+        ("parse wrapped word", lambda: Word("zOxyzOO") == "zOxyzOO"),
         ("empty word rejected", lambda: _raises(ParseError, lambda: parse_identity("= x"))),
         ("parse primed zero", lambda: parse_term("0'") == Arrow(ZERO, ZERO)),
         ("parse nested arrows", lambda: str(parse_term("((x>y)>z)")) == "((x>y)>z)"),

@@ -1,6 +1,7 @@
-import dataclasses
+import copy
 import itertools
 import math
+import pickle
 import string
 
 import pytest
@@ -68,15 +69,38 @@ def test_word_equality_and_hash_are_those_of_its_symbols():
     first, second = "".join(["xy", "O"]), "".join(["x", "yO"])
     assert first is not second
     u, w = Word(first), Word(second)
-    assert u == w and not u != w
+    assert isinstance(u, str)
+    assert u == w and not u != w and u != Word("yxO")
+    # equal to and hashed as its text, whichever side the comparison starts from
+    assert u == first and first == u and not u != first and not first != u
     assert hash(u) == hash(w) == hash(first)
-    assert {u: 1}[w] == 1
-    assert u != Word("yxO")
-    # a Word is not its text, whichever side the comparison starts from
-    assert u != first and first != u and not u == first
-    assert "xyO" not in {u} and u not in {"xyO"}
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        u.symbols = "z"
+    assert {u: 1}[first] == 1 and {first: 1}[u] == 1
+    assert "xyO" in {u} and u in {"xyO"}
+    assert len(u) == 3 and list(u) == ["x", "y", "O"] and type(str(u)) is str
+    # + makes a checked Word; a slice is plain text
+    assert type(u + "x") is Word and u + Word("x") == "xyOx"
+    with pytest.raises(ValueError, match="^invalid word symbol 'A'$"):
+        Word("x") + "A"
+    assert type(u[:2]) is str and u[:2] == "xy"
+    assert repr(Word("xyO")) == "Word('xyO')"
+
+
+def test_plain_text_is_not_taken_for_a_word():
+    with pytest.raises(ValueError, match="^both sides must be Word in mode is$"):
+        Identity("x", "y", Mode.IS)
+    with pytest.raises(ValueError, match="^both sides must be Word in mode is$"):
+        Identity(Word("x"), "y", Mode.IS)
+    with pytest.raises(TypeError, match="^cannot evaluate 'x'$"):
+        evaluate(builtin("B"), "x", {"x": 0})
+
+
+def test_a_word_takes_no_attributes_and_survives_pickle_and_deepcopy():
+    u = Word("xyO")
+    for name in ("symbols", "text"):
+        with pytest.raises(AttributeError):
+            setattr(u, name, "z")
+    for copied in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u), copy.copy(u)):
+        assert type(copied) is Word and copied == u
 
 
 @pytest.mark.parametrize("measure", [content, los])
@@ -85,7 +109,7 @@ def test_an_equal_distinct_word_hits_the_measure_cache(measure):
     value = measure(u)
     hits = measure.cache_info().hits
     w = Word("".join(["q", "rsqO"]))
-    assert w.symbols is not u.symbols
+    assert w is not u
     assert measure(w) is value
     assert measure.cache_info().hits == hits + 1
 
@@ -152,8 +176,8 @@ def test_los_invariants_exhaustive():
         if lw is None:
             assert content(w) == frozenset()
         else:
-            assert "O" not in lw.symbols
-            assert len(set(lw.symbols)) == len(lw.symbols)
+            assert "O" not in lw
+            assert len(set(lw)) == len(lw)
             assert content(lw) == content(w)
 
 
@@ -184,8 +208,8 @@ def test_substitute():
 def reference_substitute(w, mapping):
     """Symbol by symbol: O is fixed, so is a letter the mapping leaves out."""
     out = ""
-    for ch in w.symbols:
-        out += ch if ch == "O" or ch not in mapping else mapping[ch].symbols
+    for ch in w:
+        out += ch if ch == "O" or ch not in mapping else mapping[ch]
     return Word(out)
 
 

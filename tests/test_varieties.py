@@ -81,6 +81,26 @@ def test_registry_is_a_read_only_mapping_that_record_reads():
         record("XY")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: decide("bogus", "x = x"),
+        lambda: key("bogus", Word("x")),
+        lambda: key_ids("bogus", [Word("x")]),
+    ],
+    ids=["decide", "key", "key_ids"],
+)
+def test_an_unknown_variety_is_a_value_error(call):
+    with pytest.raises(ValueError, match="^unknown variety 'bogus'$"):
+        call()
+
+
+def test_a_variety_may_be_named_by_its_plain_string():
+    assert decide("B", "x = xx") and not decide("B", "xy = yx")
+    with pytest.raises(ValueError, match="^unknown variety 'b'$"):
+        decide("b", "x = xx")
+
+
 def test_join_generators_are_component_unions():
     assert set(record(Variety.SL_N).generators) == {"A", "L", "M"}
     assert set(record(Variety.B_ZM).generators) == {"B", "Z"}
@@ -167,7 +187,7 @@ def test_substitution_images_have_their_stated_probabilities():
     assert sum(probabilities) == 1
     # each image's entries in the unweighted draw are its weight
     counts = Counter(verify._images_by_weight(images))
-    assert [counts[w.symbols] for w in images] == weights
+    assert [counts[w] for w in images] == weights
 
 
 def test_unweighted_draw_over_images_by_weight_is_the_weighted_draw():
@@ -178,7 +198,7 @@ def test_unweighted_draw_over_images_by_weight_is_the_weighted_draw():
     for seed in range(200):
         weighted = random.Random(seed).choices(images, cum_weights=cum_weights, k=300)
         unweighted = random.Random(seed).choices(by_weight, k=300)
-        assert [w.symbols for w in weighted] == unweighted, seed
+        assert weighted == unweighted, seed
 
 
 def test_holding_pairs_are_the_ordered_pairs_each_variety_identifies():
@@ -402,7 +422,7 @@ def _square_or_long(w):
 def _short(w, vanishes, commutative):
     if vanishes:
         return None
-    return "".join(sorted(w.symbols)) if commutative else w.symbols
+    return "".join(sorted(w)) if commutative else w
 
 
 _REFERENCE_NIL_KEYS = {
