@@ -20,22 +20,25 @@ words build it in.  Every witness, of ``satisfies`` and of each
 ``AxiomCheck``, is the letter -> element dict of the lexicographically first
 failing assignment, so associativity's is the first failing triple.
 
-From order ``LANE_MIN_ORDER`` to 256 the innermost letter's loop is one
-pass over ``bytes`` columns with one byte lane per element, the idea of
-Lamport's "Multiple byte processing with full-word instructions" (CACM
-1975): a column times an element is one ``bytes.translate`` through the
-element's column padded to 256 bytes, an element times a column one
-translate through its padded row, and a column times a column one ``map``
-over the rows.  The outer letters keep the per-element loop.  A pass has
-a fixed cost of a few calls and computes all n lanes even when the first
-one already differs, so at small orders the loop is as fast or faster:
-``LANE_MIN_ORDER`` is the measured crossover, and it keeps the census,
-whose tables have orders 1 to 4, on the loop.  Above 256 an element does
-not fit a lane.  Each algebra builds its columns and translate maps once,
-on first use.  A sweep of more than ``MAX_ASSIGNMENTS`` = 10^7 is refused.
+The leading letters loop; the last m = ``_block_width(n, k)`` of k letters
+sweep as one block of byte lanes, one lane per assignment of them (Lamport,
+"Multiple byte processing with full-word instructions", CACM 1975), where a
+vector times an element is one ``bytes.translate`` through its row or
+column padded to 256 bytes.  Orders 1 to 3 loop over every letter: at
+order 3 a block halves a census class's ``check_axioms`` but makes the
+census oracle's, which fail at the first assignments, 14% slower.  From
+``LANE_MIN_ORDER`` = 4 to ``MAX_LANE_ORDER`` = 16 as many letters as fit
+``BLOCK_LANES`` = 4096 lanes sweep, and a vector times a vector is one
+carry-free big-integer multiply-add u*n + v, each lane below 256, and one
+translate through the flat table; the first lane where the sides differ is
+the top nonzero byte of their xor.  From 17 to 256 one letter sweeps, a
+vector times a vector being one ``map`` over the rows: unpacked, a wider
+block is slower (``check_axioms`` on M x M: 2.7 ms with one letter, 6.4 ms
+with two).  Above 256 an element does not fit a lane.  A sweep of more
+than ``MAX_ASSIGNMENTS`` = 10^7 is refused.
 
 ``word_value_classes`` is a second, batched route that shares no
-evaluation code with the register programs, their lane columns included.
+evaluation code with the register programs, their lane blocks included.
 It holds a word's values over all assignments as one ``bytes`` vector, one
 byte lane per assignment, and builds each word's vector from its prefix's
 with whole-vector operations (packed byte lanes again): one carry-free
@@ -108,14 +111,8 @@ class FiniteAlgebra:
 
     @cached_property
     def _lane_tables(self) -> tuple:
-        # for _run's lane column, orders up to 256: the column 0, 1, ...,
-        # n - 1, the rows and columns padded to 256 bytes as translate maps,
-        # and each element repeated in all n lanes
-        n = self.order
-        rows = tuple(bytes(row).ljust(256, b"\0") for row in self.table)
-        columns = tuple(bytes(col).ljust(256, b"\0") for col in zip(*self.table))
-        fills = tuple(bytes((e,)) * n for e in range(n))
-        return bytes(range(n)), rows, columns, fills
+        # for _run's block sweeps: the table and its transpose, flat
+        return tuple(bytes(itertools.chain.from_iterable(t)) for t in (self.table, zip(*self.table)))
 
     def element_name(self, i: int) -> str:
         if self.element_names is not None:
@@ -181,13 +178,10 @@ class SatResult:
 
 
 def _compile(ident: Identity, letters: tuple) -> tuple:
-    """The register program (levels, lhs register, rhs register, lane plan)
-    of ident: levels[j] holds, in order, the steps (out, a, b) whose last
-    letter read is letter j, directly or through earlier steps.
-
-    The lane plan says how the steps of the innermost level k run on bytes
-    columns: each step as (out, a, b, kind), kind 1 when only a is of level
-    k, 2 when only b is and 3 when both are; then whether each side is."""
+    """The register program (levels, lhs register, rhs register, register
+    levels, block plans) of ident: levels[j] holds, in order, the steps
+    (out, a, b) whose last letter read is letter j, directly or through
+    earlier steps.  ``_run`` adds each block plan it needs."""
     register = {letter: r for r, letter in enumerate(letters, 1)}
     level = list(range(len(letters) + 1))  # of each register
     levels = [[] for _ in level]
@@ -213,17 +207,28 @@ def _compile(ident: Identity, letters: tuple) -> tuple:
 
     side = word if ident.mode is Mode.IS else tree
     lhs, rhs = side(ident.lhs), side(ident.rhs)
-    k = len(letters)
-    lanes = tuple(
-        (out, a, b, (level[a] == k) | (level[b] == k) << 1) for out, a, b in levels[k]
+    return tuple(map(tuple, levels)), lhs, rhs, tuple(level), {}
+
+
+def _block_plan(program: tuple, p: int) -> tuple:
+    """How the steps after the first p letters' levels run on ``bytes``
+    vectors: each as (out, a, b, kind), kind 1 when only a is a vector, 2
+    when only b is, 3 when both are; then whether each side is a vector."""
+    levels, lhs, rhs, level, _ = program
+    steps = tuple(
+        (out, a, b, (level[a] > p) | (level[b] > p) << 1)
+        for j in range(p + 1, len(levels))
+        for out, a, b in levels[j]
     )
-    return tuple(map(tuple, levels)), lhs, rhs, (lanes, level[lhs] == k, level[rhs] == k)
+    return steps, level[lhs] > p, level[rhs] > p
 
 
-# the least order at which _run's lane column beats the per-element loop,
-# measured on full sweeps and on identities that fail at once
-LANE_MIN_ORDER = 6
-
+# the least order at which _run sweeps letters as a block of byte lanes
+LANE_MIN_ORDER = 4
+# a lane of the packed vectors is one byte and holds u * n + c < n * n
+MAX_LANE_ORDER = 16
+# the most lanes of one packed block in _run
+BLOCK_LANES = 4096
 # the most assignments _run sweeps: about 1 s at lane orders and up to 5 s
 # on the per-element loop; each further letter multiplies a sweep by n
 MAX_ASSIGNMENTS = 10**7
@@ -235,62 +240,105 @@ def _check_sweep(n: int, k: int) -> None:
         raise ValueError(f"{n}^{k} assignments to sweep, above {MAX_ASSIGNMENTS}")
 
 
+@lru_cache(maxsize=None)
+def _block_width(n: int, k: int) -> int:
+    """How many of k letters _run sweeps as one block at order n."""
+    if not LANE_MIN_ORDER <= n <= 256:
+        return 0
+    m = min(k, 1)
+    while n <= MAX_LANE_ORDER and m < k and n ** (m + 1) <= BLOCK_LANES:
+        m += 1
+    return m
+
+
+@lru_cache(maxsize=None)
+def _block_columns(n: int, m: int) -> list:
+    """The lanes of m letters in lexicographic order: letter t's column
+    repeats each element n^(m-1-t) times, that run n^t times."""
+    return [b"".join(bytes((e,)) * n ** (m - 1 - t) for e in range(n)) * n**t for t in range(m)]
+
+
+_HOLDS = SatResult(True)  # what every passing sweep returns; it is frozen
+_PAD = bytes(256)
+
+
 def _run(a: FiniteAlgebra, letters: tuple, program: tuple) -> SatResult:
     """Run a register program over all assignments in lexicographic order;
     the first one whose sides differ is the witness.  A sweep of more than
-    ``MAX_ASSIGNMENTS`` assignments is refused with a ValueError.
-
-    One loop per letter, the first letter outermost: the loop of letter j
-    sets register j to each element in turn and runs the steps of level j,
-    and the sides are compared in the innermost loop.  From order
-    ``LANE_MIN_ORDER`` to 256 the innermost letter takes all its values at
-    once: its register and the registers of its steps hold ``bytes``
-    columns, one lane per element, and the first lane where the sides
-    differ is the witness's value of that letter."""
-    levels, lhs, rhs, plan = program
+    ``MAX_ASSIGNMENTS`` assignments is refused with a ValueError.  The first
+    k - m letters loop (``_differs``) and the last m sweep as one block
+    (``_block_differs``), m = ``_block_width(n, k)``."""
+    levels, lhs, rhs, level, plans = program
     table, n, k = a.table, a.order, len(letters)
     _check_sweep(n, k)
-    regs = [a.distinguished] * (k + 1 + sum(map(len, levels)))
-
-    def differs(j):
-        # whether some values of the letters j..k make the sides differ
-        steps = levels[j]
-        for regs[j] in range(n):
-            for out, x, y in steps:
-                regs[out] = table[regs[x]][regs[y]]
-            if (regs[lhs] != regs[rhs]) if j == k else inner(j + 1):
-                return True
-        return False
-
-    inner = differs  # what the loop of letter j - 1 runs for letter j
-    if k and LANE_MIN_ORDER <= n <= 256:
-        iota, rows, columns, fills = a._lane_tables
-        lanes, lhs_lane, rhs_lane = plan
-
-        def inner(j):
-            # differs(j), but letter k takes all its values in one pass
-            if j < k:
-                return differs(j)
-            regs[k] = iota
-            for out, x, y, kind in lanes:
-                if kind == 1:  # column times element: through its padded column
-                    regs[out] = regs[x].translate(columns[regs[y]])
-                elif kind == 2:  # element times column: through its padded row
-                    regs[out] = regs[y].translate(rows[regs[x]])
-                else:
-                    regs[out] = bytes(map(getitem, map(table.__getitem__, regs[x]), regs[y]))
-            u = regs[lhs] if lhs_lane else fills[regs[lhs]]
-            v = regs[rhs] if rhs_lane else fills[regs[rhs]]
-            if u == v:
-                return False
-            regs[k] = next(e for e in range(n) if u[e] != v[e])
-            return True
-
+    regs = [a.distinguished] * len(level)
     for out, x, y in levels[0]:
         regs[out] = table[regs[x]][regs[y]]
-    if (regs[lhs] != regs[rhs]) if k == 0 else inner(1):
+    m = _block_width(n, k)
+    block = None
+    if m:
+        regs[k - m + 1:k + 1] = _block_columns(n, m)
+        plan = plans.get(m) or plans.setdefault(m, _block_plan(program, k - m))
+        # padded so that the 256 bytes from any row's start are a translate map
+        flat, flipped = (t + _PAD for t in a._lane_tables)
+        block = (*plan, m, flat, flipped, n <= MAX_LANE_ORDER and flat[:256])
+    if k > m:
+        failed = _differs(1, k - m, n, table, regs, levels, lhs, rhs, block)
+    else:
+        failed = _block_differs(0, n, table, regs, lhs, rhs, block) if m else regs[lhs] != regs[rhs]
+    if failed:
         return SatResult(False, dict(zip(letters, regs[1:k + 1])))
-    return SatResult(True, None)
+    return _HOLDS
+
+
+def _differs(j, p, n, table, regs, levels, lhs, rhs, block) -> bool:
+    """Whether some values of letters j..p, then of the block's if any, make
+    the sides differ: letter j's loop sets register j to each element and
+    runs the steps of level j, so a step is redone only when a letter it
+    reads changes.  Module-level, as closures cost each call their making."""
+    steps = levels[j]
+    for regs[j] in range(n):
+        for out, x, y in steps:
+            regs[out] = table[regs[x]][regs[y]]
+        if j < p:
+            if _differs(j + 1, p, n, table, regs, levels, lhs, rhs, block):
+                return True
+        elif block is None:
+            if regs[lhs] != regs[rhs]:
+                return True
+        elif _block_differs(p, n, table, regs, lhs, rhs, block):
+            return True
+    return False
+
+
+def _block_differs(p, n, table, regs, lhs, rhs, block) -> bool:
+    """Whether some values of the letters after the first p make the sides
+    differ, taken at once: their registers hold ``bytes`` vectors, one lane
+    per assignment, and on a failure the values of the first failing lane."""
+    steps, lhs_vec, rhs_vec, m, flat, flipped, cells = block
+    size = n**m
+    for out, x, y, kind in steps:
+        if kind == 1:  # vector times element: through its column, a row of the transpose
+            e = regs[y] * n
+            regs[out] = regs[x].translate(flipped[e:e + 256])
+        elif kind == 2:  # element times vector: through its row
+            e = regs[x] * n
+            regs[out] = regs[y].translate(flat[e:e + 256])
+        elif cells:  # the cell index u * n + v in each lane, then the cell
+            lanes = int.from_bytes(regs[x], "big") * n + int.from_bytes(regs[y], "big")
+            regs[out] = lanes.to_bytes(size, "big").translate(cells)
+        else:  # one lane per element, above MAX_LANE_ORDER
+            regs[out] = bytes(map(getitem, map(table.__getitem__, regs[x]), regs[y]))
+    u = regs[lhs] if lhs_vec else bytes((regs[lhs],)) * size
+    v = regs[rhs] if rhs_vec else bytes((regs[rhs],)) * size
+    if u == v:
+        return False
+    # the first lane that differs holds the top nonzero byte of u ^ v
+    diff = int.from_bytes(u, "big") ^ int.from_bytes(v, "big")
+    lane = size - 1 - (diff.bit_length() - 1) // 8
+    for j in range(p + m, p, -1):
+        lane, regs[j] = divmod(lane, n)
+    return True
 
 
 # The identities that recur are the few dozen of the bases and theorem lists;
@@ -306,10 +354,6 @@ def satisfies(a: FiniteAlgebra, ident) -> SatResult:
     if isinstance(ident, str):
         ident = parse_identity(ident)
     return _run(a, *_program(ident))
-
-
-# a lane of the packed vectors is one byte and holds u * n + c < n * n
-MAX_LANE_ORDER = 16
 
 
 def word_value_classes(a: FiniteAlgebra, words, letters=("x", "y", "z")) -> dict:

@@ -153,14 +153,17 @@ _COMPONENT_KEYS = {
 }
 
 
-def key(v: Variety, w: Word) -> tuple:
-    """Normal-form key of w in v: u = w holds in v iff key(v, u) == key(v, w)."""
+def _components(v: Variety) -> tuple:
     try:
-        components = _TABLE[v][0]
+        return _TABLE[v][0]
     except KeyError:
         raise ValueError(f"unknown variety {v!r}") from None
+
+
+def key(v: Variety, w: Word) -> tuple:
+    """Normal-form key of w in v: u = w holds in v iff key(v, u) == key(v, w)."""
     # _COMPONENT_KEYS is read on every call, so a key patched there is seen
-    return tuple([_COMPONENT_KEYS[c](w) for c in components])
+    return tuple([_COMPONENT_KEYS[c](w) for c in _components(v)])
 
 
 def decide(v: Variety, ident) -> bool:
@@ -173,8 +176,15 @@ def decide(v: Variety, ident) -> bool:
 
 
 def key_ids(v: Variety, words) -> list:
-    """The partition that key(v, .) draws on words, as their `dense_ids`."""
-    return dense_ids([key(v, w) for w in words])
+    """The partition that key(v, .) draws on words, as their `dense_ids`: each
+    component key of v, looked up once, is mapped over the words, and the
+    results are zipped into one label per word.  T, with no components,
+    draws a single class."""
+    components = _components(v)
+    words = tuple(words)
+    if not components:
+        return [0] * len(words)
+    return dense_ids(zip(*[map(_COMPONENT_KEYS[c], words) for c in components]))
 
 
 def dense_ids(labels) -> list:

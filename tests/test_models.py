@@ -345,8 +345,14 @@ def test_satisfies_all_assignments_count():
 
 def test_a_sweep_above_the_assignment_bound_is_refused():
     a = builtin("BxK_mod_I")  # order 10
-    # 10^7 assignments, at the bound, are swept; this identity fails at once
-    assert satisfies(a, "abcdefg = a") == SatResult(False, dict.fromkeys("abcdefg", 0))
+    # 10^7 assignments, at the bound, are swept; this identity fails at once,
+    # in the first block of 10^3 lanes, so no more than that block is held
+    tracemalloc.start()
+    try:
+        assert satisfies(a, "abcdefg = a") == SatResult(False, dict.fromkeys("abcdefg", 0))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
     with pytest.raises(ValueError, match=r"^10\^8 assignments to sweep, above 10000000$"):
         satisfies(a, "abcdefgh = abcdefgh")
     # check_axioms sweeps n^3 assignments: 216 is the least order refused
@@ -368,10 +374,30 @@ def test_a_sweep_above_the_assignment_bound_is_refused():
     [(models.LANE_MIN_ORDER - 1, False), (models.LANE_MIN_ORDER, True), (256, True), (257, False)],
 )
 def test_lane_column_runs_from_the_gate_order_to_256(n, lanes):
-    # the join semilattice 0 < 1 < ... < n - 1 with the constant 0; above
-    # 256 an element does not fit a byte lane, so the loop must answer
+    # the join semilattice 0 < 1 < ... < n - 1 with the constant 0; below
+    # the gate and above 256, where an element does not fit a byte lane, the
+    # loop must answer
     a = make_algebra([[max(i, j) for j in range(n)] for i in range(n)], 0)
     assert satisfies(a, "xO = x") == SatResult(True)
     assert satisfies(a, "xx = O") == SatResult(False, {"x": 1})
     assert satisfies(a, "xy = x") == SatResult(False, {"x": 0, "y": 1})
     assert ("_lane_tables" in vars(a)) == lanes
+
+
+# letters swept as one block, by order, for identities in 3 and in 7 letters:
+# none below the gate and above 256, as many as fit 4096 lanes up to order
+# 16, and one in between
+SWEEP_PATHS = {1: (0, 0), 3: (0, 0), 4: (3, 6), 5: (3, 5), 6: (3, 4), 8: (3, 4),
+               9: (3, 3), 16: (3, 3), 17: (1, 1), 256: (1, 1), 257: (0, 0)}
+
+
+@pytest.mark.parametrize("n", SWEEP_PATHS)
+def test_each_order_takes_its_sweep_path(n):
+    assert (models._block_width(n, 3), models._block_width(n, 7)) == SWEEP_PATHS[n]
+    assert models._block_width(n, 0) == 0
+    # the join semilattice again, on two letters so that order 257 is swept
+    a = make_algebra([[max(i, j) for j in range(n)] for i in range(n)], 0)
+    assert satisfies(a, "xy = yx") == SatResult(True)
+    expected = SatResult(True) if n == 1 else SatResult(False, {"x": 0, "y": 1})
+    assert satisfies(a, "xy = x") == expected
+    assert ("_lane_tables" in vars(a)) == (SWEEP_PATHS[n][0] > 0)

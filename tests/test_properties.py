@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from varietylab.enumeration import canonical_form
 from varietylab.models import (
@@ -58,6 +58,18 @@ def tables(min_order, max_order=4):
 
 
 small_tables = tables(2)
+
+
+@st.composite
+def sparse_tables(draw, min_order, max_order):
+    """(rows, distinguished) of a table constant but for up to three cells,
+    where identities hold more often and fail late in the sweep."""
+    n = draw(st.integers(min_order, max_order))
+    elements = st.integers(0, n - 1)
+    rows = [[draw(elements)] * n for _ in range(n)]
+    for i, j, v in draw(st.lists(st.tuples(elements, elements, elements), max_size=3)):
+        rows[i][j] = v
+    return rows, draw(elements)
 
 
 @given(small_tables, st.randoms(use_true_random=False))
@@ -196,9 +208,9 @@ identities = st.one_of(
 )
 
 @settings(max_examples=400)
-@given(tables(1), tables(LANE_MIN_ORDER, 7), identities)
+@given(tables(1, LANE_MIN_ORDER - 1), tables(LANE_MIN_ORDER, 7), identities)
 def test_compiled_satisfies_matches_reference_evaluator(table_dist, lane_table_dist, ident):
-    # the first table runs the per-element loop, the second the lane column
+    # the first table runs the per-element loop, the second the packed block
     for table_dist in (table_dist, lane_table_dist):
         a = make_algebra(*table_dist)
         res = satisfies(a, ident)
@@ -225,16 +237,54 @@ def reference_axioms(a, mode):
     return checks
 
 
-@given(tables(1), tables(LANE_MIN_ORDER, 7))
+@given(
+    tables(1, LANE_MIN_ORDER - 1),
+    st.one_of(
+        tables(LANE_MIN_ORDER, MAX_LANE_ORDER), sparse_tables(LANE_MIN_ORDER, MAX_LANE_ORDER)
+    ),
+)
 def test_check_axioms_matches_the_reference_on_random_tables(table_dist, lane_table_dist):
     # most random tables fail associativity, so its failing witness is
-    # checked on the per-element loop (first table) and the lane column
+    # checked on the per-element loop (first table) and the packed block
     for table_dist in (table_dist, lane_table_dist):
         a = make_algebra(*table_dist)
         for mode in (Mode.IS, Mode.IZ):
             report = check_axioms(a, mode)
             got = [(c.name, c.passed, c.witness) for c in report.checks]
             assert got == reference_axioms(a, mode)
+
+
+three_letter_identities = st.one_of(
+    st.tuples(words, words).map(lambda uv: Identity(*uv, Mode.IS)),
+    st.tuples(tree_terms, tree_terms).map(lambda lr: Identity(*lr, Mode.IZ)),
+)
+
+four_letter_words = st.text(alphabet="xyzwO", min_size=1, max_size=6).map(Word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(tables(8, MAX_LANE_ORDER), sparse_tables(LANE_MIN_ORDER, MAX_LANE_ORDER)),
+    three_letter_identities,
+)
+def test_packed_block_matches_the_reference_up_to_the_lane_order(table_dist, ident):
+    # three letters fit one block of at most 4096 lanes at every packed order
+    a = make_algebra(*table_dist)
+    res = satisfies(a, ident)
+    assert (res.holds, res.witness) == reference_satisfies(a, ident)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_tables(9, 10), four_letter_words, four_letter_words, st.permutations("wxyz"))
+# xyz = Owxyz in the join semilattice 0 < 1 < ... < 8 first fails at w = 1
+@example(([[max(i, j) for j in range(9)] for i in range(9)], 0), Word("xyz"), Word("O"), "wxyz")
+def test_packed_block_under_a_leading_loop_matches_the_reference(table_dist, u, v, letters):
+    # every letter occurs, and at orders 9 and up a block holds three
+    # letters, so the loop runs over w and the block sweeps x, y, z
+    a = make_algebra(*table_dist)
+    ident = Identity(u, v + "".join(letters), Mode.IS)
+    res = satisfies(a, ident)
+    assert (res.holds, res.witness) == reference_satisfies(a, ident)
 
 
 @pytest.mark.parametrize("names", [("M", "K"), ("M", "M")])
@@ -249,6 +299,14 @@ def test_lane_column_matches_the_reference_on_products(names):
         res = satisfies(a, ident)
         assert (res.holds, res.witness) == reference_satisfies(a, ident)
     assert "_lane_tables" in vars(a)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([("M", "K"), ("M", "M")]), three_letter_identities)
+def test_lane_column_matches_the_reference_on_drawn_identities(names, ident):
+    a = direct_product(*map(builtin, names))  # orders 20 and 25: one-letter lane column
+    res = satisfies(a, ident)
+    assert (res.holds, res.witness) == reference_satisfies(a, ident)
 
 
 @settings(max_examples=300)

@@ -393,6 +393,20 @@ def test_dense_ids_number_labels_by_first_occurrence():
     assert compare_ids("pqr", [0, 0, 1], [0, 1, 1]) == (2, 2, ("p", "q"))
 
 
+@pytest.mark.parametrize("v", list(Variety), ids=str)
+def test_key_ids_draw_the_partition_of_the_keys(monkeypatch, v):
+    words = list(exhaustive_identity_words(max_length=3))
+    assert key_ids(v, words) == dense_ids([key(v, w) for w in words])
+    assert key_ids(v, iter(words)) == key_ids(v, words)
+    assert key_ids(v, []) == []
+    if v is Variety.T:
+        assert key_ids(v, words) == [0] * len(words)
+    # each call reads the component keys anew, so a patched one is seen
+    for component in _COMPONENT_KEYS:
+        monkeypatch.setitem(_COMPONENT_KEYS, component, lambda w: len(w) % 3)
+    assert key_ids(v, words) == dense_ids([key(v, w) for w in words])
+
+
 def _generator_oracles(words):
     """Per variety, word -> the tuple of its value classes in v's generators."""
     names = {g for v in Variety for g in record(v).generators}
@@ -607,14 +621,15 @@ def test_substitution_closure_matches_the_reference_under_a_planted_key(
 def test_substitution_closure_keys_each_distinct_image_once(monkeypatch):
     samples = 1000
     keyed = {v: [] for v in Variety}
-    plain_key = varieties.key
+    plain_key_ids = varieties.key_ids
 
-    def recording_key(v, w):
-        keyed[v].append(w)
-        return plain_key(v, w)
+    def recording_key_ids(v, words):
+        words = list(words)
+        keyed[v].extend(words)
+        return plain_key_ids(v, words)
 
-    # key_ids looks key up at call time, so every word keyed goes through here
-    monkeypatch.setattr(varieties, "key", recording_key)
+    # verify looks key_ids up at call time, so every word keyed goes through here
+    monkeypatch.setattr(varieties, "key_ids", recording_key_ids)
     assert verify.invariant_substitution_closure(verify.DEFAULT_SEED, samples).passed
     words = list(exhaustive_identity_words(max_length=3))
     for v, calls in keyed.items():
