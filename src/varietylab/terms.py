@@ -4,7 +4,9 @@ Two syntaxes live here.  Associative mode works with flat words over the
 letters a-z plus the distinguished constant, written ``O``; bracketing is
 meaningless, so a word is its text: a ``str`` of one or more symbols.  Tree
 mode works with fully parenthesised binary terms over ``>`` with the constant
-``0``; a postfix prime is sugar for ``(t>0)``.  ``AXIOM_TEXTS`` holds the two
+``0``; a postfix prime is sugar for ``(t>0)``.  A parsed term shares one
+``Var`` per letter, so a letter that recurs is one object; terms compare and
+hash by value, never by identity.  ``AXIOM_TEXTS`` holds the two
 defining identities of implication semigroups in each syntax; the axiom check
 and the derivation checker both read them from here.  Words, terms and
 identities render with ``str``.
@@ -105,7 +107,8 @@ def parse_word(text: str) -> Word:
 @lru_cache(maxsize=1 << 16)
 def content(w: Word) -> frozenset:
     """The set of letters occurring in w (``O`` excluded)."""
-    return frozenset(ch for ch in w if ch != OMEGA)
+    # from the letters alone: a set sized for O too may take a larger table
+    return frozenset(w.replace(OMEGA, ""))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -116,13 +119,11 @@ def los(w: Word):
     that marker never escapes as a Word because the free algebra has no empty
     word.
     """
-    last = {}
-    for i, ch in enumerate(w):
-        if ch != OMEGA:
-            last[ch] = i
-    if not last:
+    # a letter's first occurrence in the reversed letters is its last in w
+    letters = w.replace(OMEGA, "")
+    if not letters:
         return None
-    return Word("".join(ch for _, ch in sorted((i, ch) for ch, i in last.items())))
+    return Word("".join(dict.fromkeys(letters[::-1]))[::-1])
 
 
 def length(w: Word):
@@ -203,91 +204,96 @@ class Arrow(TreeTerm):
 
 
 ZERO = Zero()
+# one shared leaf per letter: the parser maps each letter to its entry
+_VARS = {ch: Var(ch) for ch in _LETTERS}
 
 # The deepest tree term the parser accepts, counted in arrows on the longest
-# path from the root (a postfix prime is one arrow).  Terms are walked
-# recursively (term_letters, str, hash, equality, substitution and the
-# evaluators), and str takes three interpreter frames per level.  A replayed
-# derivation step substitutes parsed terms into a parsed rule and puts the
-# result inside a parsed term, so its terms reach three times this depth;
-# that still stays far below the default recursion limit of 1000.
+# path from the root (a postfix prime is one arrow).  The parser and
+# term_letters walk a term with an explicit stack, but other walkers still
+# recurse (str, hash, equality, substitute_term, the evaluator, the register
+# compiler and the derivation checker's rewrite), and str takes three
+# interpreter frames per level.  A replayed derivation step substitutes
+# parsed terms into a parsed rule and puts the result inside a parsed term,
+# so its terms reach three times this depth; that still stays far below the
+# default recursion limit of 1000.
 MAX_TERM_DEPTH = 64
 
 
 def parse_term(text: str) -> TreeTerm:
     """Parse a tree term: ``0``, a letter, ``(t>t)``, with postfix primes.
-    A term deeper than ``MAX_TERM_DEPTH`` is a ParseError."""
-    pos = 0
-    n = len(text)
+    A term deeper than ``MAX_TERM_DEPTH`` is a ParseError.
 
-    def skip_ws():
-        nonlocal pos
+    One loop over the text with a stack of the open parentheses: each frame
+    is the parenthesis's offset, its left side (None until its ``>`` is read)
+    and that side's height.  The stack's size is the number of arrows the
+    enclosing parentheses open, and that plus a term's height never exceeds
+    the bound."""
+    n = len(text)
+    pos = 0
+    stack: list = []
+    while True:
+        # an operand: 0, a letter, or an opening parenthesis
         while pos < n and text[pos].isspace():
             pos += 1
-
-    def too_deep():
-        return ParseError(f"term nested deeper than {MAX_TERM_DEPTH}", pos)
-
-    def parse_inner(depth: int) -> tuple:
-        # depth counts the arrows opened by enclosing parentheses; returns
-        # the term and its height, and depth + height never exceeds the bound
-        nonlocal pos
-        skip_ws()
         if pos >= n:
             raise ParseError("unexpected end of input", pos)
         ch = text[pos]
-        height = 0
-        if ch == "0":
+        if ch == "(":
+            if len(stack) >= MAX_TERM_DEPTH:
+                raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH}", pos)
+            stack.append((pos, None, 0))
             pos += 1
-            node: TreeTerm = ZERO
-        elif ch in _LETTERS:
-            pos += 1
-            node = Var(ch)
-        elif ch == "(":
-            if depth >= MAX_TERM_DEPTH:
-                raise too_deep()
-            open_at = pos
-            pos += 1
-            left, left_height = parse_inner(depth + 1)
-            skip_ws()
-            if pos >= n or text[pos] != ">":
-                raise ParseError("expected '>'", pos)
-            pos += 1
-            right, right_height = parse_inner(depth + 1)
-            skip_ws()
-            if pos >= n or text[pos] != ")":
-                raise ParseError("unbalanced '('", open_at)
-            pos += 1
-            node = Arrow(left, right)
-            height = 1 + max(left_height, right_height)
-        else:
+            continue
+        node = ZERO if ch == "0" else _VARS.get(ch)
+        if node is None:
             raise ParseError(f"unexpected character {ch!r}", pos)
+        pos += 1
+        height = 0
         while True:
-            skip_ws()
+            # the operand's primes, then what closes it: '>', ')' or the end
+            while pos < n and text[pos].isspace():
+                pos += 1
             if pos < n and text[pos] == "'":
-                if depth + height >= MAX_TERM_DEPTH:
-                    raise too_deep()
+                if len(stack) + height >= MAX_TERM_DEPTH:
+                    raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH}", pos)
                 pos += 1
                 node = Arrow(node, ZERO)
                 height += 1
-            else:
+                continue
+            if not stack:
+                if pos != n:
+                    raise ParseError(f"unexpected character {text[pos]!r}", pos)
+                return node
+            open_at, left, left_height = stack[-1]
+            if left is None:
+                if pos >= n or text[pos] != ">":
+                    raise ParseError("expected '>'", pos)
+                pos += 1
+                stack[-1] = (open_at, node, height)
                 break
-        return node, height
-
-    node, _ = parse_inner(0)
-    skip_ws()
-    if pos != n:
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
-    return node
+            if pos >= n or text[pos] != ")":
+                raise ParseError("unbalanced '('", open_at)
+            pos += 1
+            stack.pop()
+            node = Arrow(left, node)
+            height = 1 + (left_height if left_height > height else height)
 
 
 def term_letters(t: TreeTerm) -> frozenset:
     """All variable names occurring in t."""
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Arrow):
-        return term_letters(t.left) | term_letters(t.right)
-    return frozenset()
+    letters = set()
+    rights = []  # the right sides still to walk
+    while True:
+        # down the left spine; the term classes are final, so type tells
+        # them apart, faster than isinstance
+        while type(t) is Arrow:
+            rights.append(t.right)
+            t = t.left
+        if type(t) is Var:
+            letters.add(t.name)
+        if not rights:
+            return frozenset(letters)
+        t = rights.pop()
 
 
 def substitute_term(t: TreeTerm, mapping: dict) -> TreeTerm:

@@ -5,11 +5,12 @@ import pickle
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from varietylab.models import builtin, evaluate, satisfies
 from varietylab.terms import (
     MAX_TERM_DEPTH,
+    OMEGA,
     Arrow,
     Identity,
     Mode,
@@ -181,6 +182,32 @@ def test_los_invariants_exhaustive():
             assert content(lw) == content(w)
 
 
+def reference_content(w):
+    """Symbol by symbol: every symbol but O."""
+    return frozenset(ch for ch in w if ch != OMEGA)
+
+
+def reference_los(w):
+    """Each letter at the offset of its last occurrence, in offset order."""
+    last = {}
+    for i, ch in enumerate(w):
+        if ch != OMEGA:
+            last[ch] = i
+    if not last:
+        return None
+    return Word("".join(ch for _, ch in sorted((i, ch) for ch, i in last.items())))
+
+
+def test_word_measures_match_per_character_references():
+    checked = 0
+    for w in all_words(6):
+        assert content(w) == reference_content(w)
+        got = los(w)
+        assert got == reference_los(w) and (got is None or type(got) is Word)
+        checked += 1
+    assert checked == 5460
+
+
 def test_length():
     assert length(Word("xy")) == 2
     assert length(Word("xO")) == math.inf
@@ -278,6 +305,157 @@ terms_strategy = st.recursive(
 @given(terms_strategy)
 def test_term_round_trip(t):
     assert parse_term(str(t)) == t
+
+
+def reference_parse_term(text):
+    """The recursive descent parser that the one-loop parse_term replaced:
+    one frame per open parenthesis, a closure per whitespace skip."""
+    pos = 0
+    n = len(text)
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    def too_deep():
+        return ParseError(f"term nested deeper than {MAX_TERM_DEPTH}", pos)
+
+    def parse_inner(depth):
+        # depth counts the arrows opened by enclosing parentheses; returns
+        # the term and its height, and depth + height never exceeds the bound
+        nonlocal pos
+        skip_ws()
+        if pos >= n:
+            raise ParseError("unexpected end of input", pos)
+        ch = text[pos]
+        height = 0
+        if ch == "0":
+            pos += 1
+            node = ZERO
+        elif ch in string.ascii_lowercase:
+            pos += 1
+            node = Var(ch)
+        elif ch == "(":
+            if depth >= MAX_TERM_DEPTH:
+                raise too_deep()
+            open_at = pos
+            pos += 1
+            left, left_height = parse_inner(depth + 1)
+            skip_ws()
+            if pos >= n or text[pos] != ">":
+                raise ParseError("expected '>'", pos)
+            pos += 1
+            right, right_height = parse_inner(depth + 1)
+            skip_ws()
+            if pos >= n or text[pos] != ")":
+                raise ParseError("unbalanced '('", open_at)
+            pos += 1
+            node = Arrow(left, right)
+            height = 1 + max(left_height, right_height)
+        else:
+            raise ParseError(f"unexpected character {ch!r}", pos)
+        while True:
+            skip_ws()
+            if pos < n and text[pos] == "'":
+                if depth + height >= MAX_TERM_DEPTH:
+                    raise too_deep()
+                pos += 1
+                node = Arrow(node, ZERO)
+                height += 1
+            else:
+                break
+        return node, height
+
+    node, _ = parse_inner(0)
+    skip_ws()
+    if pos != n:
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    return node
+
+
+def _term_outcome(text):
+    """parse_term's outcome and the reference's: the term, or (message, offset)."""
+    outcomes = []
+    for parse in (parse_term, reference_parse_term):
+        try:
+            outcomes.append(parse(text))
+        except ParseError as exc:
+            outcomes.append((exc.message, exc.offset))
+    return outcomes
+
+
+# the term syntax, whitespace (Unicode spaces among it) and junk: the word
+# syntax's O, a digit, '=', '#' and a non-ASCII letter
+_TERM_TEXT_ALPHABET = "()>'0xyz" + " \t\n\x1c\u2003\u3000" + "O1=#Ä"
+
+
+@st.composite
+def near_bound_texts(draw):
+    """Texts nested 62 to 65 deep, along the left or the right spine, with
+    primes on the innermost side and after closing parentheses, and at most
+    one character inserted or deleted."""
+    depth = draw(st.integers(MAX_TERM_DEPTH - 2, MAX_TERM_DEPTH + 1))
+    inner = draw(st.sampled_from(["x", "0", "(x>y)", "(0>z)'"])) + "'" * draw(st.integers(0, 3))
+    primes = draw(st.lists(st.sampled_from(["", "", "", "'", " '"]), min_size=depth, max_size=depth))
+    if draw(st.booleans()):
+        text = "(" * depth + inner + "".join(f">y){p}" for p in primes)
+    else:
+        text = "".join("(x>" for _ in primes) + inner + "".join(f"){p}" for p in primes)
+    edit = draw(st.sampled_from(["keep", "insert", "delete"]))
+    if edit != "keep":
+        at = draw(st.integers(0, len(text) - 1))
+        middle = draw(st.sampled_from(_TERM_TEXT_ALPHABET)) if edit == "insert" else ""
+        text = text[:at] + middle + text[at + (edit == "delete"):]
+    return text
+
+
+@st.composite
+def spaced_terms(draw):
+    """Rendered terms with whitespace, Unicode spaces among it, inserted
+    anywhere, between the characters of a prime run too."""
+    text = str(draw(terms_strategy))
+    for at, space in draw(st.lists(st.tuples(st.integers(0, len(text)), st.sampled_from(" \t\u3000")), max_size=4)):
+        text = text[:at] + space + text[at:]
+    return text
+
+
+@settings(max_examples=600)
+@given(st.one_of(st.text(alphabet=_TERM_TEXT_ALPHABET, max_size=24), spaced_terms(), near_bound_texts()))
+@example("(x y)")
+@example("(x")
+@example("((x>y)>z")
+@example("x'' '")
+def test_parse_term_matches_the_recursive_reference(text):
+    got, want = _term_outcome(text)
+    assert got == want
+
+
+def test_parse_term_error_messages_and_offsets():
+    for text, message, offset in (
+        ("", "unexpected end of input", 0),
+        ("(x>", "unexpected end of input", 3),
+        ("(x y)", "expected '>'", 3),
+        ("( x ' ", "expected '>'", 6),
+        ("((x>y) z)", "expected '>'", 7),
+        (" (x>y", "unbalanced '('", 1),
+        ("((x>y)>z>", "unbalanced '('", 0),
+        ("(x>y))", "unexpected character ')'", 5),
+        ("x y", "unexpected character 'y'", 2),
+        ("1", "unexpected character '1'", 0),
+        ("(x>O)", "unexpected character 'O'", 3),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_term(text)
+        assert (exc.value.message, exc.value.offset) == (message, offset), text
+
+
+def test_a_parsed_term_shares_one_var_per_letter():
+    t = parse_term("(x>x)")
+    assert t == Arrow(Var("x"), Var("x"))
+    assert t.left is t.right
+    # equal by value to a leaf built elsewhere, never compared by identity
+    assert parse_term("((y>x)>x')").right.left is t.left == Var("x")
 
 
 def test_render_term_uses_prime_sugar():
