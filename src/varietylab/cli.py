@@ -51,8 +51,7 @@ def cmd_oracle(args) -> int:
     *algebra_specs, identity_text = args.args
     if not algebra_specs:
         raise ValueError("oracle needs at least one algebra and an identity")
-    mode = Mode(args.mode)
-    ident = parse_identity(identity_text, mode)
+    ident = parse_identity(identity_text, args.mode)
     algebras = [_load_algebra_arg(spec) for spec in algebra_specs]
     for spec, a in zip(algebra_specs, algebras):
         res = satisfies(a, ident)
@@ -99,7 +98,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    report = enumerate_algebras(args.order, Mode(args.mode))
+    report = enumerate_algebras(args.order, args.mode)
     sys.stdout.write(render_report(report))
     return 0
 

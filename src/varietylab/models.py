@@ -21,21 +21,25 @@ words build it in.  Every witness, of ``satisfies`` and of each
 failing assignment, so associativity's is the first failing triple.
 
 The leading letters loop; the last m = ``_block_width(n, k)`` of k letters
-sweep as one block of byte lanes, one lane per assignment of them (Lamport,
-"Multiple byte processing with full-word instructions", CACM 1975), where a
-vector times an element is one ``bytes.translate`` through its row or
-column padded to 256 bytes.  Orders 1 to 3 loop over every letter: at
-order 3 a block halves a census class's ``check_axioms`` but makes the
-census oracle's, which fail at the first assignments, 14% slower.  From
-``LANE_MIN_ORDER`` = 4 to ``MAX_LANE_ORDER`` = 16 as many letters as fit
-``BLOCK_LANES`` = 4096 lanes sweep, and a vector times a vector is one
-carry-free big-integer multiply-add u*n + v, each lane below 256, and one
-translate through the flat table; the first lane where the sides differ is
-the top nonzero byte of their xor.  From 17 to 256 one letter sweeps, a
-vector times a vector being one ``map`` over the rows: unpacked, a wider
-block is slower (``check_axioms`` on M x M: 2.7 ms with one letter, 6.4 ms
-with two).  Above 256 an element does not fit a lane.  A sweep of more
-than ``MAX_ASSIGNMENTS`` = 10^7 is refused.
+sweep as one block of byte lanes, one lane per assignment of them
+(Lamport, "Multiple byte processing with full-word instructions", CACM
+1975).  A register then holds an element (``int``) or a vector
+(``bytes``), and a block step picks its product from the types of its two
+operands: a vector times an element is one ``bytes.translate`` through its
+row or column padded to 256 bytes.  A program is one immutable value at
+every block width; a run writes only its own registers.  Orders 1 to 3
+loop over every letter: at order 3 a block halves a census class's
+``check_axioms`` but makes the census oracle's, which fail at the first
+assignments, 14% slower.  From ``LANE_MIN_ORDER`` = 4 to
+``MAX_LANE_ORDER`` = 16 as many letters as fit ``BLOCK_LANES`` = 4096
+lanes sweep, and a vector times a vector is one carry-free big-integer
+multiply-add u*n + v, each lane below 256, and one translate through the
+flat table; the first lane where the sides differ is the top nonzero byte
+of their xor.  From 17 to 256 one letter sweeps, a vector times a vector
+being one ``map`` over the rows: unpacked, a wider block is slower
+(``check_axioms`` on M x M: 2.7 ms with one letter, 6.4 ms with two).
+Above 256 an element does not fit a lane.  A sweep of more than
+``MAX_ASSIGNMENTS`` = 10^7 is refused.
 
 ``word_value_classes`` is a second, batched route that shares no
 evaluation code with the register programs, their lane blocks included.
@@ -177,52 +181,6 @@ class SatResult:
         return self.holds
 
 
-def _compile(ident: Identity, letters: tuple) -> tuple:
-    """The register program (levels, lhs register, rhs register, register
-    levels, block plans) of ident: levels[j] holds, in order, the steps
-    (out, a, b) whose last letter read is letter j, directly or through
-    earlier steps.  ``_run`` adds each block plan it needs."""
-    register = {letter: r for r, letter in enumerate(letters, 1)}
-    level = list(range(len(letters) + 1))  # of each register
-    levels = [[] for _ in level]
-
-    def step(a, b):
-        out = len(level)
-        j = level[a] if level[a] > level[b] else level[b]
-        level.append(j)
-        levels[j].append((out, a, b))
-        return out
-
-    def word(w):
-        acc = None
-        for ch in w:
-            r = 0 if ch == OMEGA else register[ch]
-            acc = r if acc is None else step(acc, r)
-        return acc
-
-    def tree(t):
-        if isinstance(t, Arrow):
-            return step(tree(t.left), tree(t.right))
-        return register[t.name] if isinstance(t, Var) else 0
-
-    side = word if ident.mode is Mode.IS else tree
-    lhs, rhs = side(ident.lhs), side(ident.rhs)
-    return tuple(map(tuple, levels)), lhs, rhs, tuple(level), {}
-
-
-def _block_plan(program: tuple, p: int) -> tuple:
-    """How the steps after the first p letters' levels run on ``bytes``
-    vectors: each as (out, a, b, kind), kind 1 when only a is a vector, 2
-    when only b is, 3 when both are; then whether each side is a vector."""
-    levels, lhs, rhs, level, _ = program
-    steps = tuple(
-        (out, a, b, (level[a] > p) | (level[b] > p) << 1)
-        for j in range(p + 1, len(levels))
-        for out, a, b in levels[j]
-    )
-    return steps, level[lhs] > p, level[rhs] > p
-
-
 # the least order at which _run sweeps letters as a block of byte lanes
 LANE_MIN_ORDER = 4
 # a lane of the packed vectors is one byte and holds u * n + c < n * n
@@ -262,26 +220,25 @@ _HOLDS = SatResult(True)  # what every passing sweep returns; it is frozen
 _PAD = bytes(256)
 
 
-def _run(a: FiniteAlgebra, letters: tuple, program: tuple) -> SatResult:
+def _run(a: FiniteAlgebra, program: tuple) -> SatResult:
     """Run a register program over all assignments in lexicographic order;
     the first one whose sides differ is the witness.  A sweep of more than
     ``MAX_ASSIGNMENTS`` assignments is refused with a ValueError.  The first
     k - m letters loop (``_differs``) and the last m sweep as one block
     (``_block_differs``), m = ``_block_width(n, k)``."""
-    levels, lhs, rhs, level, plans = program
+    letters, levels, lhs, rhs, count = program
     table, n, k = a.table, a.order, len(letters)
     _check_sweep(n, k)
-    regs = [a.distinguished] * len(level)
+    regs = [a.distinguished] * count
     for out, x, y in levels[0]:
         regs[out] = table[regs[x]][regs[y]]
     m = _block_width(n, k)
     block = None
     if m:
         regs[k - m + 1:k + 1] = _block_columns(n, m)
-        plan = plans.get(m) or plans.setdefault(m, _block_plan(program, k - m))
         # padded so that the 256 bytes from any row's start are a translate map
         flat, flipped = (t + _PAD for t in a._lane_tables)
-        block = (*plan, m, flat, flipped, n <= MAX_LANE_ORDER and flat[:256])
+        block = (levels[k - m + 1:], m, flat, flipped, n <= MAX_LANE_ORDER and flat[:256])
     if k > m:
         failed = _differs(1, k - m, n, table, regs, levels, lhs, rhs, block)
     else:
@@ -314,23 +271,29 @@ def _differs(j, p, n, table, regs, levels, lhs, rhs, block) -> bool:
 def _block_differs(p, n, table, regs, lhs, rhs, block) -> bool:
     """Whether some values of the letters after the first p make the sides
     differ, taken at once: their registers hold ``bytes`` vectors, one lane
-    per assignment, and on a failure the values of the first failing lane."""
-    steps, lhs_vec, rhs_vec, m, flat, flipped, cells = block
+    per assignment, and on a failure the values of the first failing lane.
+    Each step reads a vector on at least one side; an ``int`` is an element."""
+    levels, m, flat, flipped, cells = block
     size = n**m
-    for out, x, y, kind in steps:
-        if kind == 1:  # vector times element: through its column, a row of the transpose
-            e = regs[y] * n
-            regs[out] = regs[x].translate(flipped[e:e + 256])
-        elif kind == 2:  # element times vector: through its row
-            e = regs[x] * n
-            regs[out] = regs[y].translate(flat[e:e + 256])
-        elif cells:  # the cell index u * n + v in each lane, then the cell
-            lanes = int.from_bytes(regs[x], "big") * n + int.from_bytes(regs[y], "big")
-            regs[out] = lanes.to_bytes(size, "big").translate(cells)
-        else:  # one lane per element, above MAX_LANE_ORDER
-            regs[out] = bytes(map(getitem, map(table.__getitem__, regs[x]), regs[y]))
-    u = regs[lhs] if lhs_vec else bytes((regs[lhs],)) * size
-    v = regs[rhs] if rhs_vec else bytes((regs[rhs],)) * size
+    for steps in levels:
+        for out, x, y in steps:
+            u, v = regs[x], regs[y]
+            if type(v) is int:  # vector times element: through its column, a row of the transpose
+                e = v * n
+                regs[out] = u.translate(flipped[e:e + 256])
+            elif type(u) is int:  # element times vector: through its row
+                e = u * n
+                regs[out] = v.translate(flat[e:e + 256])
+            elif cells:  # the cell index u * n + v in each lane, then the cell
+                lanes = int.from_bytes(u, "big") * n + int.from_bytes(v, "big")
+                regs[out] = lanes.to_bytes(size, "big").translate(cells)
+            else:  # one lane per element, above MAX_LANE_ORDER
+                regs[out] = bytes(map(getitem, map(table.__getitem__, u), v))
+    u, v = regs[lhs], regs[rhs]
+    if type(u) is int:
+        u = bytes((u,)) * size
+    if type(v) is int:
+        v = bytes((v,)) * size
     if u == v:
         return False
     # the first lane that differs holds the top nonzero byte of u ^ v
@@ -345,15 +308,44 @@ def _block_differs(p, n, table, regs, lhs, rhs, block) -> bool:
 # a larger cache mostly keeps one-off identities alive for the collector.
 @lru_cache(maxsize=64)
 def _program(ident: Identity) -> tuple:
+    """The register program (letters, levels, lhs register, rhs register,
+    register count) of ident: levels[j] holds, in order, the steps
+    (out, a, b) whose last letter read is letter j, directly or through
+    earlier steps.  A hashable tuple, shared by every run of ident."""
     letters = identity_letters(ident)
-    return letters, _compile(ident, letters)
+    register = {letter: r for r, letter in enumerate(letters, 1)}
+    level = list(range(len(letters) + 1))  # of each register
+    levels = [[] for _ in level]
+
+    def step(a, b):
+        out = len(level)
+        j = level[a] if level[a] > level[b] else level[b]
+        level.append(j)
+        levels[j].append((out, a, b))
+        return out
+
+    def word(w):
+        acc = None
+        for ch in w:
+            r = 0 if ch == OMEGA else register[ch]
+            acc = r if acc is None else step(acc, r)
+        return acc
+
+    def tree(t):
+        if isinstance(t, Arrow):
+            return step(tree(t.left), tree(t.right))
+        return register[t.name] if isinstance(t, Var) else 0
+
+    side = word if ident.mode is Mode.IS else tree
+    lhs, rhs = side(ident.lhs), side(ident.rhs)
+    return letters, tuple(map(tuple, levels)), lhs, rhs, len(level)
 
 
 def satisfies(a: FiniteAlgebra, ident) -> SatResult:
     """Exhaustive check over all assignments; first lexicographic witness kept."""
     if isinstance(ident, str):
         ident = parse_identity(ident)
-    return _run(a, *_program(ident))
+    return _run(a, _program(ident))
 
 
 def word_value_classes(a: FiniteAlgebra, words, letters=("x", "y", "z")) -> dict:
@@ -435,13 +427,13 @@ class AxiomReport:
 
 @lru_cache(maxsize=None)
 def _axiom_programs(mode: Mode) -> tuple:
-    """(name, letters, register program) of each law of mode: in associative
+    """(name, register program) of each law of mode: in associative
     mode first associativity, in tree syntax since flat words build it in,
     then the defining identities, each named by its text."""
     laws = [(text, parse_identity(text, mode)) for text in AXIOM_TEXTS[mode]]
     if mode is Mode.IS:
         laws.insert(0, ("associativity", parse_identity("((x>y)>z) = (x>(y>z))", Mode.IZ)))
-    return tuple((name, *_program(ident)) for name, ident in laws)
+    return tuple((name, _program(ident)) for name, ident in laws)
 
 
 def check_axioms(a: FiniteAlgebra, mode: Mode) -> AxiomReport:
@@ -449,8 +441,8 @@ def check_axioms(a: FiniteAlgebra, mode: Mode) -> AxiomReport:
     identities in associative mode, the two defining identities in tree mode."""
     mode = Mode(mode)
     checks = []
-    for name, letters, program in _axiom_programs(mode):
-        res = _run(a, letters, program)
+    for name, program in _axiom_programs(mode):
+        res = _run(a, program)
         checks.append(AxiomCheck(name, res.holds, res.witness))
     return AxiomReport(mode, tuple(checks))
 

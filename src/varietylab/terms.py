@@ -173,13 +173,13 @@ class TreeTerm:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Zero(TreeTerm):
     def __str__(self) -> str:
         return "0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(TreeTerm):
     name: str
 
@@ -191,7 +191,7 @@ class Var(TreeTerm):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow(TreeTerm):
     left: TreeTerm
     right: TreeTerm
@@ -318,6 +318,8 @@ class Identity:
     mode: Mode
 
     def __post_init__(self):
+        if type(self.mode) is not Mode:  # "is" or "iz" as text
+            object.__setattr__(self, "mode", Mode(self.mode))
         want = Word if self.mode is Mode.IS else TreeTerm
         if not (isinstance(self.lhs, want) and isinstance(self.rhs, want)):
             raise ValueError(f"both sides must be {want.__name__} in mode {self.mode.value}")
@@ -340,7 +342,9 @@ def parse_side(text: str, mode: Mode):
 
 
 def parse_identity(text: str, mode: Mode = Mode.IS) -> Identity:
-    """Parse ``side = side`` in the given mode; offsets refer to the full text."""
+    """Parse ``side = side`` in the given mode, a ``Mode`` or its text;
+    offsets refer to the full text."""
+    mode = mode if type(mode) is Mode else Mode(mode)
     eq = text.find("=")
     if eq < 0:
         raise ParseError("expected '='", len(text))

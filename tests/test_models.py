@@ -384,6 +384,13 @@ def test_lane_column_runs_from_the_gate_order_to_256(n, lanes):
     assert ("_lane_tables" in vars(a)) == lanes
 
 
+def test_a_register_program_is_a_hashable_value():
+    for ident in (parse_identity("xyz = zOxyzOO"), parse_identity("((x>y)>z) = (x>(y>z))", Mode.IZ)):
+        program = models._program(ident)
+        assert hash(program) == hash(models._program(ident))
+        assert program[0] == ("x", "y", "z")  # its letters
+
+
 # letters swept as one block, by order, for identities in 3 and in 7 letters:
 # none below the gate and above 256, as many as fit 4096 lanes up to order
 # 16, and one in between

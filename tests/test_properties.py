@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from varietylab import models
 from varietylab.enumeration import canonical_form
 from varietylab.models import (
     LANE_MIN_ORDER,
@@ -27,6 +28,7 @@ from varietylab.terms import (
     Mode,
     Var,
     Word,
+    identity_letters,
     normalize_is,
     parse_identity,
 )
@@ -285,6 +287,38 @@ def test_packed_block_under_a_leading_loop_matches_the_reference(table_dist, u, 
     ident = Identity(u, v + "".join(letters), Mode.IS)
     res = satisfies(a, ident)
     assert (res.holds, res.witness) == reference_satisfies(a, ident)
+
+
+@pytest.mark.parametrize(
+    "text, mode, orders",
+    [
+        ("xyz = zOxyzOO", Mode.IS, (3, 4, 9, 17)),
+        ("((x>y)>z) = ((z'>x)>(y>z)')'", Mode.IZ, (3, 4, 9, 17)),
+        # two letters, so that order 257, above the lanes, is swept too
+        ("xyx = yxO", Mode.IS, (3, 4, 9, 17, 257)),
+    ],
+)
+def test_one_program_serves_every_block_width(text, mode, orders):
+    # one Identity object, so one cached program, is swept at block widths
+    # 0, k (all its letters) and 1 in turn: the program must hold nothing
+    # keyed by width
+    ident = parse_identity(text, mode)
+    k = len(identity_letters(ident))
+    assert {models._block_width(n, k) for n in orders} == {0, k, 1}
+    rng = random.Random(35)
+    verdicts = set()
+    for n in orders:
+        join = [[max(i, j) for j in range(n)] for i in range(n)]
+        sparse = [[n - 1] * n for _ in range(n)]
+        for _ in range(3):
+            sparse[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        drawn = [[rng.randrange(n) for _ in range(n)] for _ in range(n)] if n < 257 else join
+        for rows, dist in ((join, 0), (sparse, n - 1), (drawn, rng.randrange(n))):
+            a = make_algebra(rows, dist)
+            res = satisfies(a, ident)
+            assert (res.holds, res.witness) == reference_satisfies(a, ident), (n, dist)
+            verdicts.add(res.holds)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("names", [("M", "K"), ("M", "M")])

@@ -7,7 +7,7 @@ import string
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from varietylab.models import builtin, evaluate, satisfies
+from varietylab.models import builtin, check_axioms, evaluate, satisfies
 from varietylab.terms import (
     MAX_TERM_DEPTH,
     OMEGA,
@@ -458,6 +458,16 @@ def test_a_parsed_term_shares_one_var_per_letter():
     assert parse_term("((y>x)>x')").right.left is t.left == Var("x")
 
 
+def test_term_nodes_are_slotted_and_survive_pickle_and_deepcopy():
+    t = parse_term("((x>y)>(z'>x)')'")
+    for node in (t, t.left.left.left, ZERO):  # an Arrow, a Var and the Zero
+        assert not hasattr(node, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert copied == t and hash(copied) == hash(t) and str(copied) == str(t)
+    shared = parse_term("(x>x)")
+    assert type(shared.left) is Var and shared.left is shared.right
+
+
 def test_render_term_uses_prime_sugar():
     assert str(Arrow(Var("x"), ZERO)) == "x'"
     assert str(Arrow(Arrow(Var("x"), Var("y")), ZERO)) == "(x>y)'"
@@ -505,6 +515,25 @@ def test_parse_identity():
     assert ident.mode is Mode.IS
     iz = parse_identity("0'' = 0", Mode.IZ)
     assert iz.lhs == Arrow(Arrow(ZERO, ZERO), ZERO) and iz.rhs == ZERO
+
+
+@pytest.mark.parametrize("text, mode", [("xy = yx", Mode.IS), ("(x>y) = y'", Mode.IZ)])
+def test_a_mode_given_as_text_is_that_mode(text, mode):
+    ident = parse_identity(text, mode.value)
+    assert ident == parse_identity(text, mode) and ident.mode is mode
+    built = Identity(ident.lhs, ident.rhs, mode.value)
+    assert built == ident and built.mode is mode
+
+
+def test_an_unknown_mode_is_refused_as_check_axioms_refuses_it():
+    with pytest.raises(ValueError) as want:
+        check_axioms(builtin("A"), "bogus")
+    with pytest.raises(ValueError) as parsed:
+        parse_identity("x = x", "bogus")
+    with pytest.raises(ValueError) as built:
+        Identity(Word("x"), Word("x"), "bogus")
+    for exc in (parsed, built):
+        assert type(exc.value) is ValueError and str(exc.value) == str(want.value)
 
 
 def test_parse_identity_rejects():
