@@ -2,7 +2,8 @@
 
 The search pins the constant at index 0, fills the table with backtracking,
 prunes on every determinable axiom instance, skips most isomorphic copies by
-the least-number heuristic, and deduplicates the rest by canonical form.  In
+the least-number heuristic and a least-prefix cut on row 0 and column 0, and
+deduplicates the rest by canonical form.  In
 flat mode each survivor is classified into its least variety.
 """
 

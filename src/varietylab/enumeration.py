@@ -15,20 +15,36 @@ two facts provable from those axioms alone (the bundled derivations replay
 the proofs): the constant is a central idempotent, so cell (0,0) is 0 and
 row 0 equals column 0.  In tree mode they are the main identity and 0'' = 0.
 
-Isomorphic copies are cut by the least-number heuristic of SEM (Zhang and
-Zhang, IJCAI 1995).  Let mdn be the largest element that occurs so far as a
-cell index or an assigned value.  Elements above max(mdn, i, j) are then
-interchangeable, so cell (i, j) tries values only up to that bound plus one.
-
 The walk is one recursion with two rules for choosing the next cell.  The
 first 2n-1 cells, row 0 and column 0, come in a fixed order: (0,0), (0,1),
-(1,0), (0,2), (2,0), ...  The heuristic acts only there: once (0, n-1) is
-set, mdn = n-1 and every cell tries every value.  Below that prefix, any
-order of the remaining cells therefore visits the same complete tables, and
-the walk branches fail-first (Haralick and Elliott, Artificial Intelligence
-14, 1980) on the free cell with the most instances waiting on it, the lowest
-cell i*n + j among equals.  The choice moves the values tried and the
-prunes of `SearchStats`, never its complete tables.
+(1,0), (0,2), (2,0), ...; they are the prefix.  Below it the walk branches
+fail-first (Haralick and Elliott, Artificial Intelligence 14, 1980) on the
+free cell with the most instances waiting on it, the lowest cell i*n + j
+among equals.
+
+Isomorphic copies are cut twice, both times on the prefix alone.  First, by
+the least-number heuristic of SEM (Zhang and Zhang, IJCAI 1995): let mdn be
+the largest element that occurs so far as a cell index or an assigned value.
+Elements above max(mdn, i, j) are then interchangeable, so cell (i, j) tries
+values only up to that bound plus one.  Once (0, n-1) is set, mdn = n-1 and
+the heuristic cuts nothing more.  Second, by a lex-leader predicate
+(Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
+problems", KR 1996): once the whole prefix is set, the walk goes on only if
+the prefix, as bytes in fill order, is no greater than its image under each
+relabeling that fixes 0.  Such a relabeling maps row 0 and column 0 onto
+themselves, so the image reads prefix cells only.
+
+The cuts lose no class.  Take any solution T, and among its images under the
+relabelings that fix 0 the one, S, whose prefix is least.  Every image of S
+is an image of T, so S passes the predicate.  S also keeps the least-number
+bound at every prefix cell: were a value v there above w = max(mdn, i, j) + 1,
+swapping v and w would leave every earlier cell and its value alone (all
+are at most mdn), keep the cell in place (i and j are below w) and lower its
+value to w, making a smaller prefix.  So the walk reaches S's prefix, and
+below the prefix every cell tries every value, in any order of the cells,
+and the propagation prunes only tables that break an axiom; S is a complete
+table of the walk.  The cell choice below the prefix moves the values tried
+and the prunes of `SearchStats`, never its complete tables.
 
 The table is one flat list, cell (i, j) at index i*n + j, the index the
 instance lists use too.  A complete table goes to `canonical_form` as bytes
@@ -48,7 +64,9 @@ relabeling is an `operator.itemgetter` over the flat cells and a 256-byte
 per order and kept.  The distinguished element d is first swapped with 0,
 so one table per order serves every d.  `canonical_form` refuses orders
 above MAX_CANONICAL_ORDER = 6, so at most five tables are kept, the largest
-with 120 entries, and what is held cannot grow with the inputs.
+with 120 entries, and what is held cannot grow with the inputs.  The walk's
+lex-leader predicate uses the same pairs, built once per walk over the
+prefix cells alone.
 """
 
 from __future__ import annotations
@@ -128,17 +146,24 @@ def canonical_form(a: FiniteAlgebra | bytes) -> bytes:
 
 @lru_cache(maxsize=None)  # orders 2 to MAX_CANONICAL_ORDER: at most five tables
 def _relabelings(n: int) -> tuple:
-    """The relabelings of order n > 1 that fix 0, each as a pair (get, pi):
-    `get` takes a flat table's cells in the relabeled row-major order, and
-    `pi` is the 256-byte `bytes.translate` map from old values to new."""
+    """The relabelings of order n > 1 that fix 0, over every cell of a flat
+    table in row-major order (see `_relabeled`)."""
+    return _relabeled(n, range(n * n))
+
+
+def _relabeled(n: int, cells) -> tuple:
+    """The relabelings of order n that fix 0, the identity first, each as a
+    pair (get, pi): `get` takes from a flat table, for each of `cells` in
+    turn, the cell that the relabeling moves there, and `pi` is the 256-byte
+    `bytes.translate` map from old values to new."""
     table = []
     for image in itertools.permutations(range(1, n)):
         pi = (0, *image)  # old label -> new label
         inv = [0] * n
         for old, new in enumerate(pi):
             inv[new] = old
-        cells = [inv[p] * n + inv[q] for p in range(n) for q in range(n)]
-        table.append((operator.itemgetter(*cells), bytes(pi).ljust(256, b"\0")))
+        moved = [inv[c // n] * n + inv[c % n] for c in cells]
+        table.append((operator.itemgetter(*moved), bytes(pi).ljust(256, b"\0")))
     return tuple(table)
 
 
@@ -271,6 +296,14 @@ def _propagate(pending, c, t, n):
     return kept
 
 
+def _is_leader(t, key, images) -> bool:
+    """Whether the prefix of the flat table t, as bytes in fill order (`key`
+    takes them), is no greater than its image under each relabeling of
+    `images` (see `_relabeled`)."""
+    own = bytes(key(t))
+    return all(own <= bytes(get(t)).translate(pi) for get, pi in images)
+
+
 def _search(order: int, mode: Mode):
     """Walk the whole search tree.  Return the set of canonical forms of the
     complete tables and the walk's SearchStats, whose leaf_rejects is left
@@ -278,6 +311,10 @@ def _search(order: int, mode: Mode):
     n = order
     prefix = _prefix(n)
     width = len(prefix)
+    # the relabelings that fix 0 map the prefix onto itself; the identity is
+    # left out, so orders 1 and 2 have none and never call _is_leader
+    images = _relabeled(n, prefix)[1:]
+    key = operator.itemgetter(*prefix)
     t = [None] * (n * n)
     out = set()
     propagate = _propagate
@@ -293,6 +330,8 @@ def _search(order: int, mode: Mode):
             # interchangeable so far, so only the first of them is tried
             mdn = max(mdn, *divmod(c, n))
             top = min(mdn + 2, n)
+        elif k == width and images and not _is_leader(t, key, images):
+            return  # the prefix is not the least of its relabelings
         elif free:
             # the free cell with the most waiting instances; the first
             # maximum is the lowest cell among equals

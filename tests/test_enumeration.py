@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import multiprocessing
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,20 +202,21 @@ def test_order_four_census_matches_pinned_digest(mode):
     assert (len(blobs), hashlib.sha256(b"".join(blobs)).hexdigest()) == ORDER_FOUR_DIGESTS[mode]
 
 
-# SearchStats(nodes, prunes, leaves, leaf_rejects) of each walk; orders 1 to
-# 3 taken from the search that filled the prefix and the rest in two walks
+# SearchStats(nodes, prunes, leaves, leaf_rejects) of each walk, taken from
+# the walk that cuts every prefix that is not the least of its relabelings
+# (orders 1 and 2 have no relabeling to cut by)
 SEARCH_COUNTS = {
     Mode.IS: {
         1: SearchStats(1, 0, 1, 0),
         2: SearchStats(12, 5, 2, 0),
-        3: SearchStats(134, 80, 10, 0),
-        4: SearchStats(1983, 1375, 112, 0),
+        3: SearchStats(110, 64, 8, 0),
+        4: SearchStats(1195, 802, 81, 0),
     },
     Mode.IZ: {
         1: SearchStats(1, 0, 1, 0),
         2: SearchStats(20, 8, 3, 0),
-        3: SearchStats(386, 231, 27, 0),
-        4: SearchStats(12264, 8168, 1029, 0),
+        3: SearchStats(338, 199, 21, 0),
+        4: SearchStats(7624, 5087, 496, 0),
     },
 }
 
@@ -225,10 +227,11 @@ def test_search_counts(mode, order):
     # each leaf is canonicalised into a set, and check_axioms, run once per
     # class on the output representative, rejects no class the instance
     # checks let through (leaf_rejects counts classes); the other counts pin
-    # the pruning, the symmetry breaking and (nodes and prunes only) the
-    # choice of the next cell.  At orders 1 to 3 the prefix covers most of
-    # the table, so a wrong bound or handover between the two cell-choice
-    # rules shows there first
+    # the pruning, the symmetry breaking (the least-number bound and the
+    # least-prefix cut) and (nodes and prunes only) the choice of the next
+    # cell.  At orders 1 to 3 the prefix covers most of the table, so a
+    # wrong bound or handover between the two cell-choice rules shows there
+    # first
     assert enumerate_algebras(order, mode).stats == SEARCH_COUNTS[mode][order]
 
 
@@ -246,7 +249,7 @@ def test_order_five_associative_report():
     assert rep.count == 206
     assert sum(rep.per_variety.values()) == 206
     # the order-five pin beside the order-four ones above, read off the cached walk
-    assert rep.stats == SearchStats(nodes=55866, prunes=41140, leaves=3550, leaf_rejects=0)
+    assert rep.stats == SearchStats(nodes=31486, prunes=22281, leaves=2842, leaf_rejects=0)
 
 
 @pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
@@ -275,6 +278,74 @@ def test_class_check_catches_a_planted_fault(monkeypatch, mode):
     passed, stats = _census(3, mode)
     assert blobs_of(passed) == brute_force_census(3, mode)
     assert stats.leaf_rejects > 0
+
+
+def _greatest_prefix(t, key, images):
+    return all(bytes(key(t)) >= bytes(get(t)).translate(pi) for get, pi in images)
+
+
+def _no_ties(t, key, images):
+    return all(bytes(key(t)) < bytes(get(t)).translate(pi) for get, pi in images)
+
+
+@pytest.mark.parametrize(
+    "leader, mode",
+    [(_greatest_prefix, Mode.IZ), (_no_ties, Mode.IS), (_no_ties, Mode.IZ)],
+    ids=["greatest-iz", "no-ties-is", "no-ties-iz"],
+)
+def test_oracle_catches_a_planted_fault_in_the_prefix_cut(monkeypatch, leader, mode):
+    # keeping the greatest prefix, or dropping a prefix tied with its image
+    # under another relabeling, cuts whole classes, which the class check
+    # cannot see: only the brute-force census does
+    monkeypatch.setattr(enumeration, "_is_leader", leader)
+    found = set(blobs_of(_census(3, mode)[0]))
+    assert found < set(brute_force_census(3, mode))
+
+
+# the fill order of row 0 and column 0, written out apart from the walk's
+FILL_ORDER = {n: [(0, 0)] + [c for j in range(1, n) for c in ((0, j), (j, 0))] for n in range(2, 6)}
+
+
+@st.composite
+def prefixes(draw):
+    """Values for row 0 and column 0 of a random order from 2 to 5, keyed by
+    cell (i, j), with no other cell set."""
+    n = draw(st.integers(2, 5))
+    values = draw(st.lists(st.integers(0, n - 1), min_size=2 * n - 1, max_size=2 * n - 1))
+    return n, dict(zip(FILL_ORDER[n], values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefixes())
+def test_least_image_of_a_prefix_passes_the_cut_and_the_least_number_bound(drawn):
+    # the soundness of the cut: every class keeps a member whose prefix the
+    # walk reaches under the least-number bound and the cut lets through
+    n, cells = drawn
+    order = FILL_ORDER[n]
+    least = min(
+        (
+            {(pi[i], pi[j]): pi[v] for (i, j), v in cells.items()}
+            for pi in ((0, *image) for image in itertools.permutations(range(1, n)))
+        ),
+        key=lambda table: [table[c] for c in order],
+    )
+    mdn = 0
+    for i, j in order:
+        mdn = max(mdn, i, j)
+        assert least[i, j] <= mdn + 1
+        mdn = max(mdn, least[i, j])
+
+    def flat(table):  # the walk's flat table: the prefix set, every other cell None
+        t = [None] * (n * n)
+        for (i, j), v in table.items():
+            t[i * n + j] = v
+        return t
+
+    prefix = enumeration._prefix(n)
+    key, images = operator.itemgetter(*prefix), enumeration._relabeled(n, prefix)[1:]
+    assert enumeration._is_leader(flat(least), key, images)
+    # and the cut keeps exactly the prefixes equal to their least image
+    assert enumeration._is_leader(flat(cells), key, images) == (cells == least)
 
 
 def test_report_carries_the_time_of_the_walk_that_ran(monkeypatch):
@@ -324,7 +395,10 @@ def test_report_is_built_once_and_frozen(monkeypatch):
     assert histogram == "B:4 B+ZM:2 K:1 L:1 M:4 N:3 SL:2 SL+M:2 SL+ZM:6 ZM:1"
 
 
-@pytest.mark.parametrize("order, counts", [(1, (1, 1)), (2, (2, 3)), (3, (6, 17)), (4, (26, 249))])
+@pytest.mark.parametrize(
+    "order, counts",
+    [(1, (1, 1)), (2, (2, 3)), (3, (6, 17)), (4, (26, 249)), (5, (206, 22707))],
+)
 def test_associative_census_is_the_tree_mode_census_cut_by_the_is_axioms(order, counts):
     # the same tables checked by the other mode's axioms: two searches, one answer
     associative = enumerate_algebras(order, Mode.IS).algebras
