@@ -1,10 +1,10 @@
 """Census of all small algebras, one representative per isomorphism class.
 
 The search pins the constant at index 0, fills the table with backtracking,
-prunes on every determinable axiom instance, skips most isomorphic copies by
-the least-number heuristic and a least-prefix cut on row 0 and column 0, and
-deduplicates the rest by canonical form.  In
-flat mode each survivor is classified into its least variety.
+prunes on every determinable axiom instance, and skips isomorphic copies by
+the least-number heuristic and a lex-leader cut over the whole table, so it
+completes one table per class; canonical forms sort those tables.  In flat
+mode each survivor is classified into its least variety.
 """
 
 from varietylab import Mode, builtin, canonical_form, enumerate_algebras, render_algebra

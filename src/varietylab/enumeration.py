@@ -22,29 +22,40 @@ fail-first (Haralick and Elliott, Artificial Intelligence 14, 1980) on the
 free cell with the most instances waiting on it, the lowest cell i*n + j
 among equals.
 
-Isomorphic copies are cut twice, both times on the prefix alone.  First, by
-the least-number heuristic of SEM (Zhang and Zhang, IJCAI 1995): let mdn be
-the largest element that occurs so far as a cell index or an assigned value.
-Elements above max(mdn, i, j) are then interchangeable, so cell (i, j) tries
-values only up to that bound plus one.  Once (0, n-1) is set, mdn = n-1 and
-the heuristic cuts nothing more.  Second, by a lex-leader predicate
-(Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
-problems", KR 1996): once the whole prefix is set, the walk goes on only if
-the prefix, as bytes in fill order, is no greater than its image under each
-relabeling that fixes 0.  Such a relabeling maps row 0 and column 0 onto
-themselves, so the image reads prefix cells only.
+Isomorphic copies are cut twice.  First, on the prefix, by the least-number
+heuristic of SEM (Zhang and Zhang, IJCAI 1995): let mdn be the largest
+element that occurs so far as a cell index or an assigned value.  Elements
+above max(mdn, i, j) are then interchangeable, so cell (i, j) tries values
+only up to that bound plus one.  Once (0, n-1) is set, mdn = n-1 and the
+heuristic cuts nothing more.  Second, over the whole table, by a lex-leader
+predicate (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates
+for search problems", KR 1996): the table must be no greater than its image
+under each relabeling that fixes 0, both read in one fixed order, the prefix
+in fill order and then the other cells row by row.  The cut runs at every
+node.  Each level passes down the relabelings not yet known to give a
+greater image, each with the position where its comparison stopped.  A
+comparison stops at the first position where either cell is unset, since
+below the prefix the cells are filled fail-first, not in the fixed order.  A
+relabeling is dropped once the table is smaller at a set position, and the
+walk leaves the node once the table is greater.  A complete table therefore
+passes exactly when it is the least of its images, so the walk reaches each
+isomorphism class through exactly one complete table.
 
 The cuts lose no class.  Take any solution T, and among its images under the
-relabelings that fix 0 the one, S, whose prefix is least.  Every image of S
-is an image of T, so S passes the predicate.  S also keeps the least-number
-bound at every prefix cell: were a value v there above w = max(mdn, i, j) + 1,
-swapping v and w would leave every earlier cell and its value alone (all
-are at most mdn), keep the cell in place (i and j are below w) and lower its
-value to w, making a smaller prefix.  So the walk reaches S's prefix, and
-below the prefix every cell tries every value, in any order of the cells,
-and the propagation prunes only tables that break an axiom; S is a complete
-table of the walk.  The cell choice below the prefix moves the values tried
-and the prunes of `SearchStats`, never its complete tables.
+relabelings that fix 0 the least one, S, in the fixed order.  Every image of
+S is an image of T, so no comparison ever finds S greater, at any node on the
+way to S and whatever order the cells are set in: each one stops at an unset
+cell, finds S smaller, or finds S equal to the end.  The fixed order begins
+with the prefix, so S also has the least prefix of T's images, and it keeps
+the least-number bound at every prefix cell: were a value v there above
+w = max(mdn, i, j) + 1, swapping v and w would leave every earlier cell and
+its value alone (all are at most mdn), keep the cell in place (i and j are
+below w) and lower its value to w, making an image with a smaller prefix.
+So the walk reaches S's prefix, and below the prefix every cell tries every
+value, in any order of the cells, and the propagation prunes only tables
+that break an axiom; S is a complete table of the walk.  The cell choice
+below the prefix moves the values tried and the prunes of `SearchStats`,
+never its complete tables.
 
 The table is one flat list, cell (i, j) at index i*n + j, the index the
 instance lists use too.  A complete table goes to `canonical_form` as bytes
@@ -65,8 +76,8 @@ per order and kept.  The distinguished element d is first swapped with 0,
 so one table per order serves every d.  `canonical_form` refuses orders
 above MAX_CANONICAL_ORDER = 6, so at most five tables are kept, the largest
 with 120 entries, and what is held cannot grow with the inputs.  The walk's
-lex-leader predicate uses the same pairs, built once per walk over the
-prefix cells alone.
+cut reads the same relabelings, built once per walk as pairs of cells in the
+fixed order.
 """
 
 from __future__ import annotations
@@ -146,25 +157,28 @@ def canonical_form(a: FiniteAlgebra | bytes) -> bytes:
 
 @lru_cache(maxsize=None)  # orders 2 to MAX_CANONICAL_ORDER: at most five tables
 def _relabelings(n: int) -> tuple:
-    """The relabelings of order n > 1 that fix 0, over every cell of a flat
-    table in row-major order (see `_relabeled`)."""
-    return _relabeled(n, range(n * n))
+    """The relabelings of order n > 1 that fix 0, each as a pair (get, pi):
+    `get` takes from a flat table, for each cell in row-major order, the
+    cell that the relabeling moves there, and `pi` is the 256-byte
+    `bytes.translate` map from old values to new (see `_relabeled`)."""
+    return tuple(
+        (operator.itemgetter(*moved), bytes(pi).ljust(256, b"\0"))
+        for moved, pi in _relabeled(n, range(n * n))
+    )
 
 
-def _relabeled(n: int, cells) -> tuple:
+def _relabeled(n: int, cells) -> list:
     """The relabelings of order n that fix 0, the identity first, each as a
-    pair (get, pi): `get` takes from a flat table, for each of `cells` in
-    turn, the cell that the relabeling moves there, and `pi` is the 256-byte
-    `bytes.translate` map from old values to new."""
+    pair (moved, pi): `moved` lists, for each of `cells` in turn, the cell
+    that the relabeling moves there, and `pi` maps old values to new."""
     table = []
     for image in itertools.permutations(range(1, n)):
         pi = (0, *image)  # old label -> new label
         inv = [0] * n
         for old, new in enumerate(pi):
             inv[new] = old
-        moved = [inv[c // n] * n + inv[c % n] for c in cells]
-        table.append((operator.itemgetter(*moved), bytes(pi).ljust(256, b"\0")))
-    return tuple(table)
+        table.append(([inv[c // n] * n + inv[c % n] for c in cells], pi))
+    return table
 
 
 def algebra_from_canonical(blob: bytes) -> FiniteAlgebra:
@@ -191,7 +205,8 @@ def algebra_from_canonical(blob: bytes) -> FiniteAlgebra:
 # a failing instance tends to be met early; the order among equal counts
 # only decides which failing instance is met first, never the counts.
 # `_search` is one walk: each level picks its cell by one of the module doc's
-# two rules, then sets it to each value in turn, propagates and recurses.
+# two rules, then sets it to each value in turn, propagates, cuts and
+# recurses.
 
 O, X, Y, Z = 0, 1, 2, 3
 
@@ -296,12 +311,38 @@ def _propagate(pending, c, t, n):
     return kept
 
 
-def _is_leader(t, key, images) -> bool:
-    """Whether the prefix of the flat table t, as bytes in fill order (`key`
-    takes them), is no greater than its image under each relabeling of
-    `images` (see `_relabeled`)."""
-    own = bytes(key(t))
-    return all(own <= bytes(get(t)).translate(pi) for get, pi in images)
+def _cut(t, live):
+    """The lex-leader cut at a node of the walk, on the flat table t.  Each
+    member (pos, pairs, pi) of `live` is a relabeling not yet known to give
+    a greater image of t: `pairs` lists each cell in the fixed order with
+    the cell the relabeling moves there, `pi` maps old values to new, and
+    the comparison of t with its image stopped at position pos.  Return the
+    members whose comparison stops again at an unset cell, or None once t
+    is greater than an image."""
+    kept = []
+    for pos, pairs, pi in live:
+        for cell, moved in pairs[pos:]:
+            own, image = t[cell], t[moved]
+            if own is None or image is None:
+                kept.append((pos, pairs, pi))
+                break
+            image = pi[image]
+            if own != image:
+                if own > image:
+                    return None
+                break  # t is smaller: this image can never cut it
+            pos += 1
+    return kept
+
+
+def _images(n: int) -> list:
+    """The members of `_cut`'s list at the root of the walk: each relabeling
+    that fixes 0, but the identity, over the fixed order (the prefix in fill
+    order, then the other cells row by row), its comparison at position 0.
+    Orders 1 and 2 have none, so their walks cut nothing."""
+    prefix = _prefix(n)
+    fixed = prefix + sorted(set(range(n * n)) - set(prefix))
+    return [(0, tuple(zip(fixed, moved)), pi) for moved, pi in _relabeled(n, fixed)[1:]]
 
 
 def _search(order: int, mode: Mode):
@@ -311,18 +352,15 @@ def _search(order: int, mode: Mode):
     n = order
     prefix = _prefix(n)
     width = len(prefix)
-    # the relabelings that fix 0 map the prefix onto itself; the identity is
-    # left out, so orders 1 and 2 have none and never call _is_leader
-    images = _relabeled(n, prefix)[1:]
-    key = operator.itemgetter(*prefix)
     t = [None] * (n * n)
     out = set()
-    propagate = _propagate
+    propagate, cut = _propagate, _cut
     nodes = prunes = leaves = 0
 
-    def walk(k, pending, free, mdn):
+    def walk(k, pending, free, mdn, live):
         """Set the k-th cell of the walk: prefix[k] while the prefix lasts,
-        then the fail-first choice among the sorted `free` cells."""
+        then the fail-first choice among the sorted `free` cells.  `live`
+        is the cut's list for the cells set so far (see `_cut`)."""
         nonlocal nodes, prunes, leaves
         if k < width:
             c = prefix[k]
@@ -330,8 +368,6 @@ def _search(order: int, mode: Mode):
             # interchangeable so far, so only the first of them is tried
             mdn = max(mdn, *divmod(c, n))
             top = min(mdn + 2, n)
-        elif k == width and images and not _is_leader(t, key, images):
-            return  # the prefix is not the least of its relabelings
         elif free:
             # the free cell with the most waiting instances; the first
             # maximum is the lowest cell among equals
@@ -351,11 +387,13 @@ def _search(order: int, mode: Mode):
             kept = propagate(pending, c, t, n)
             if kept is None:
                 prunes += 1
-            else:
-                walk(k, kept, free, v if v > mdn else mdn)
+                continue
+            below = cut(t, live)
+            if below is not None:  # else t is greater than one of its images
+                walk(k, kept, free, v if v > mdn else mdn, below)
         t[c] = None
 
-    walk(0, _root(n, mode), [i * n + j for i in range(1, n) for j in range(1, n)], 0)
+    walk(0, _root(n, mode), [i * n + j for i in range(1, n) for j in range(1, n)], 0, _images(n))
     return out, SearchStats(nodes, prunes, leaves, 0)
 
 

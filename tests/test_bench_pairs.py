@@ -62,3 +62,28 @@ def test_summary_of_fixed_results(pairs):
     line, = pairs.describe({"queries": entry})
     assert line.startswith("queries: task_probes median 12.0 -> 11.0 (-8.3%, change better in 3 of 5; parent IQR 2.0)")
     assert line.endswith("failed 0 of 500 -> 1 of 500")
+
+
+def _fake_checkout(path, body):
+    (path / "bench").mkdir(parents=True)
+    (path / "bench" / "run.py").write_text(body)
+    return path
+
+
+def test_a_failing_run_is_written_with_the_runs_before_it(pairs, tmp_path, monkeypatch, capsys):
+    line = {"failed": 0, "attempted": 5, "correct": True, "metrics": {"task_probes": {"value": 7.0}}}
+    parent = _fake_checkout(tmp_path / "parent", f"print({json.dumps(line)!r})\n")
+    change = _fake_checkout(
+        tmp_path / "change", "import sys\nsys.stderr.write('boom: no census\\n')\nsys.exit(3)\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    assert pairs.main([str(parent), str(change), "--number", "9", "--pairs", "2"]) == 1
+    report = json.loads((tmp_path / "BENCH_9.json").read_text())
+    # the first pair runs the parent first, so one run was made before the failure
+    workload = json.loads(pairs.SPEC.read_text())["workloads"][0]["name"]
+    assert report["runs"] == [{"workload": workload, "side": "parent", "seed": 1, "failed": 0,
+                               "attempted": 5, "correct": True, "metrics": {"task_probes": 7.0}}]
+    assert report["failed_run"] == {"workload": workload, "side": "change", "seed": 1,
+                                    "exit_code": 3, "stderr_tail": "boom: no census"}
+    assert "summary" not in report
+    assert "exited 3: boom: no census" in capsys.readouterr().err

@@ -203,20 +203,20 @@ def test_order_four_census_matches_pinned_digest(mode):
 
 
 # SearchStats(nodes, prunes, leaves, leaf_rejects) of each walk, taken from
-# the walk that cuts every prefix that is not the least of its relabelings
-# (orders 1 and 2 have no relabeling to cut by)
+# the walk that cuts every table that is greater than one of its relabelings
+# in the fixed order (orders 1 and 2 have no relabeling to cut by)
 SEARCH_COUNTS = {
     Mode.IS: {
         1: SearchStats(1, 0, 1, 0),
         2: SearchStats(12, 5, 2, 0),
-        3: SearchStats(110, 64, 8, 0),
-        4: SearchStats(1195, 802, 81, 0),
+        3: SearchStats(101, 58, 6, 0),
+        4: SearchStats(743, 495, 26, 0),
     },
     Mode.IZ: {
         1: SearchStats(1, 0, 1, 0),
         2: SearchStats(20, 8, 3, 0),
-        3: SearchStats(338, 199, 21, 0),
-        4: SearchStats(7624, 5087, 496, 0),
+        3: SearchStats(314, 178, 17, 0),
+        4: SearchStats(5392, 3568, 249, 0),
     },
 }
 
@@ -228,7 +228,7 @@ def test_search_counts(mode, order):
     # class on the output representative, rejects no class the instance
     # checks let through (leaf_rejects counts classes); the other counts pin
     # the pruning, the symmetry breaking (the least-number bound and the
-    # least-prefix cut) and (nodes and prunes only) the choice of the next
+    # lex-leader cut) and (nodes and prunes only) the choice of the next
     # cell.  At orders 1 to 3 the prefix covers most of the table, so a
     # wrong bound or handover between the two cell-choice rules shows there
     # first
@@ -249,7 +249,7 @@ def test_order_five_associative_report():
     assert rep.count == 206
     assert sum(rep.per_variety.values()) == 206
     # the order-five pin beside the order-four ones above, read off the cached walk
-    assert rep.stats == SearchStats(nodes=31486, prunes=22281, leaves=2842, leaf_rejects=0)
+    assert rep.stats == SearchStats(nodes=7123, prunes=5182, leaves=206, leaf_rejects=0)
 
 
 @pytest.mark.parametrize("mode", [Mode.IS, Mode.IZ])
@@ -280,48 +280,78 @@ def test_class_check_catches_a_planted_fault(monkeypatch, mode):
     assert stats.leaf_rejects > 0
 
 
-def _greatest_prefix(t, key, images):
-    return all(bytes(key(t)) >= bytes(get(t)).translate(pi) for get, pi in images)
+def _planted_cut(greater, keep_ties):
+    """`enumeration._cut` with a fault planted: it cuts t once
+    greater(own, image) holds at the first set position where they differ,
+    and, unless keep_ties, once t equals an image to the end."""
 
+    def cut(t, live):
+        kept = []
+        for pos, pairs, pi in live:
+            for cell, moved in pairs[pos:]:
+                own, image = t[cell], t[moved]
+                if own is None or image is None:
+                    kept.append((pos, pairs, pi))
+                    break
+                if own != pi[image]:
+                    if greater(own, pi[image]):
+                        return None
+                    break
+                pos += 1
+            else:
+                if not keep_ties:
+                    return None
+        return kept
 
-def _no_ties(t, key, images):
-    return all(bytes(key(t)) < bytes(get(t)).translate(pi) for get, pi in images)
+    return cut
 
 
 @pytest.mark.parametrize(
-    "leader, mode",
-    [(_greatest_prefix, Mode.IZ), (_no_ties, Mode.IS), (_no_ties, Mode.IZ)],
+    "cut, mode",
+    [
+        (_planted_cut(operator.lt, True), Mode.IZ),
+        (_planted_cut(operator.gt, False), Mode.IS),
+        (_planted_cut(operator.gt, False), Mode.IZ),
+    ],
     ids=["greatest-iz", "no-ties-is", "no-ties-iz"],
 )
-def test_oracle_catches_a_planted_fault_in_the_prefix_cut(monkeypatch, leader, mode):
-    # keeping the greatest prefix, or dropping a prefix tied with its image
-    # under another relabeling, cuts whole classes, which the class check
-    # cannot see: only the brute-force census does
-    monkeypatch.setattr(enumeration, "_is_leader", leader)
+def test_oracle_catches_a_planted_fault_in_the_prefix_cut(monkeypatch, cut, mode):
+    # keeping the greatest image, or dropping a table equal to its image
+    # under another relabeling (one with an automorphism that fixes 0), cuts
+    # whole classes, which the class check cannot see: only the brute-force
+    # census does
+    monkeypatch.setattr(enumeration, "_cut", cut)
     found = set(blobs_of(_census(3, mode)[0]))
     assert found < set(brute_force_census(3, mode))
 
 
-# the fill order of row 0 and column 0, written out apart from the walk's
+# the cut's fixed order, written out apart from the walk's: row 0 and
+# column 0 in fill order, then the other cells row by row
 FILL_ORDER = {n: [(0, 0)] + [c for j in range(1, n) for c in ((0, j), (j, 0))] for n in range(2, 6)}
+FIXED_ORDER = {
+    n: FILL_ORDER[n] + [(i, j) for i in range(1, n) for j in range(1, n)] for n in range(2, 6)
+}
 
 
 @st.composite
-def prefixes(draw):
-    """Values for row 0 and column 0 of a random order from 2 to 5, keyed by
-    cell (i, j), with no other cell set."""
+def partial_tables(draw):
+    """A complete table of a random order from 2 to 5, keyed by cell (i, j),
+    and a subset of the cells below row 0 and column 0."""
     n = draw(st.integers(2, 5))
-    values = draw(st.lists(st.integers(0, n - 1), min_size=2 * n - 1, max_size=2 * n - 1))
-    return n, dict(zip(FILL_ORDER[n], values))
+    values = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    kept = draw(st.lists(st.booleans(), min_size=(n - 1) ** 2, max_size=(n - 1) ** 2))
+    below = [c for c, keep in zip(FIXED_ORDER[n][2 * n - 1:], kept) if keep]
+    return n, dict(zip(FIXED_ORDER[n], values)), below
 
 
 @settings(max_examples=300, deadline=None)
-@given(prefixes())
+@given(partial_tables())
 def test_least_image_of_a_prefix_passes_the_cut_and_the_least_number_bound(drawn):
-    # the soundness of the cut: every class keeps a member whose prefix the
-    # walk reaches under the least-number bound and the cut lets through
-    n, cells = drawn
-    order = FILL_ORDER[n]
+    # the soundness of the cut: every class keeps a member that the walk
+    # reaches under the least-number bound and that no node on its way cuts,
+    # whatever order the cells below the prefix are set in
+    n, cells, below = drawn
+    order = FIXED_ORDER[n]
     least = min(
         (
             {(pi[i], pi[j]): pi[v] for (i, j), v in cells.items()}
@@ -330,22 +360,22 @@ def test_least_image_of_a_prefix_passes_the_cut_and_the_least_number_bound(drawn
         key=lambda table: [table[c] for c in order],
     )
     mdn = 0
-    for i, j in order:
+    for i, j in FILL_ORDER[n]:
         mdn = max(mdn, i, j)
         assert least[i, j] <= mdn + 1
         mdn = max(mdn, least[i, j])
 
-    def flat(table):  # the walk's flat table: the prefix set, every other cell None
+    def flat(table, set_cells):  # the walk's flat table: every other cell None
         t = [None] * (n * n)
-        for (i, j), v in table.items():
-            t[i * n + j] = v
+        for i, j in set_cells:
+            t[i * n + j] = table[i, j]
         return t
 
-    prefix = enumeration._prefix(n)
-    key, images = operator.itemgetter(*prefix), enumeration._relabeled(n, prefix)[1:]
-    assert enumeration._is_leader(flat(least), key, images)
-    # and the cut keeps exactly the prefixes equal to their least image
-    assert enumeration._is_leader(flat(cells), key, images) == (cells == least)
+    images = enumeration._images(n)
+    assert enumeration._cut(flat(least, FILL_ORDER[n] + below), images) is not None
+    assert enumeration._cut(flat(least, order), images) == []
+    # and the cut keeps exactly the complete tables equal to their least image
+    assert (enumeration._cut(flat(cells, order), images) is not None) == (cells == least)
 
 
 def test_report_carries_the_time_of_the_walk_that_ran(monkeypatch):
@@ -399,14 +429,23 @@ def test_report_is_built_once_and_frozen(monkeypatch):
     "order, counts",
     [(1, (1, 1)), (2, (2, 3)), (3, (6, 17)), (4, (26, 249)), (5, (206, 22707))],
 )
-def test_associative_census_is_the_tree_mode_census_cut_by_the_is_axioms(order, counts):
+def test_associative_census_is_the_tree_mode_census_cut_by_the_is_axioms(
+    monkeypatch, order, counts
+):
+    # a fresh cache, so that no report (the order-5 tree-mode one holds
+    # 22,707 algebras) outlives the test
+    monkeypatch.setattr(enumeration, "_cache", {})
     # the same tables checked by the other mode's axioms: two searches, one answer
-    associative = enumerate_algebras(order, Mode.IS).algebras
-    tree = enumerate_algebras(order, Mode.IZ).algebras
-    assert (len(associative), len(tree)) == counts
-    assert {canonical_form(a) for a in associative} == {
-        canonical_form(a) for a in tree if check_axioms(a, Mode.IS).passed
+    associative = enumerate_algebras(order, Mode.IS)
+    tree = enumerate_algebras(order, Mode.IZ)
+    assert (associative.count, tree.count) == counts
+    assert {canonical_form(a) for a in associative.algebras} == {
+        canonical_form(a) for a in tree.algebras if check_axioms(a, Mode.IS).passed
     }
+    # one complete table per class: canonical_form, not the cut, sorts the
+    # leaves into classes
+    for rep in (associative, tree):
+        assert rep.stats.leaves == rep.count + rep.stats.leaf_rejects
 
 
 def test_classify_small_orders():

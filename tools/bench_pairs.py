@@ -18,7 +18,10 @@ It writes ``BENCH_<N>.json`` into the current directory, naming each side by
 its checkout directory: every run, and per workload and metric the quartiles
 of each side, the relative change of the medians, the parent's interquartile
 range and the number of pairs the change won, with the direction of each
-metric read from ``BENCHMARK.json``.
+metric read from ``BENCHMARK.json``.  If a run exits non-zero, it stops
+there: the file then holds the runs made so far and, as ``failed_run``, the
+failing one's workload, seed, side, exit code and stderr tail, with no
+summary, and the tool exits 1.
 """
 
 from __future__ import annotations
@@ -51,15 +54,15 @@ def schedule(workloads, pairs: int, first_seed: int) -> list:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One harness run in checkout: its last stdout line, metric values flattened."""
+    """One harness run in checkout: its last stdout line, metric values
+    flattened, or, if it exited non-zero, its exit code and stderr tail."""
     proc = subprocess.run(
         ["python3", "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=checkout, capture_output=True, text=True,
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}: "
-                           f"{proc.stderr.strip()[-500:]}")
+        return {"exit_code": proc.returncode, "stderr_tail": proc.stderr.strip()[-500:]}
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {
         "failed": result["failed"],
@@ -141,12 +144,6 @@ def main(argv=None) -> int:
             parser.error(f"{path} holds no bench/run.py")
     spec = json.loads(SPEC.read_text())
     seconds = spec["run_seconds"]
-    runs = []
-    for workload, seed, side in schedule([w["name"] for w in spec["workloads"]], args.pairs, args.seed):
-        record = run_once(checkouts[side], workload, seed, seconds)
-        runs.append({"workload": workload, "side": side, "seed": seed, **record})
-        print(f"{workload} seed {seed} {side}: {record['metrics']}", file=sys.stderr)
-    summary = summarize(runs, directions(spec))
     bytecode = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
     report = {
         "change": checkouts["change"].name,
@@ -157,11 +154,23 @@ def main(argv=None) -> int:
                    f"{args.pairs} alternating pairs per workload at --seconds {seconds:g}, "
                    f"consecutive seeds from {args.seed}, one run at a time, "
                    f"bytecode writing {bytecode}",
-        "notes": describe(summary),
-        "summary": summary,
-        "runs": runs,
     }
-    Path(f"BENCH_{args.number}.json").write_text(json.dumps(report, indent=1) + "\n")
+    out = Path(f"BENCH_{args.number}.json")
+    runs = []
+    for workload, seed, side in schedule([w["name"] for w in spec["workloads"]], args.pairs, args.seed):
+        record = {"workload": workload, "side": side, "seed": seed,
+                  **run_once(checkouts[side], workload, seed, seconds)}
+        if "exit_code" in record:
+            # no summary: the pairs are incomplete; keep what ran, and why it stopped
+            out.write_text(json.dumps({**report, "failed_run": record, "runs": runs}, indent=1) + "\n")
+            print(f"{workload} seed {seed} {side} exited {record['exit_code']}: "
+                  f"{record['stderr_tail']}", file=sys.stderr)
+            return 1
+        runs.append(record)
+        print(f"{workload} seed {seed} {side}: {record['metrics']}", file=sys.stderr)
+    summary = summarize(runs, directions(spec))
+    report.update(notes=describe(summary), summary=summary, runs=runs)
+    out.write_text(json.dumps(report, indent=1) + "\n")
     print("\n".join(describe(summary)))
     return 0
 
