@@ -9,16 +9,23 @@ tree mode terms evaluate recursively with ``table[i][j]`` read as ``i -> j``.
 once into a register program and run the program over all assignments.
 Register 0 holds the constant and registers 1..k the identity's sorted
 letters; each step (out, a, b) sets register out to
-``table[regs[a]][regs[b]]``.  A word compiles as a left fold and a tree term
-by a post-order walk, one step per product.  A step's level is the last
-letter it reads, 0 for none, and the run nests one loop per letter:
-the loop of letter j runs only the steps of level j, so a step is redone
-only when a letter it reads changes.  ``check_axioms`` compiles its laws once
-per mode: the axiom texts of ``terms.AXIOM_TEXTS`` and, in associative mode,
-associativity first, as the tree law ``((x>y)>z) = (x>(y>z))`` since flat
-words build it in.  Every witness, of ``satisfies`` and of each
-``AxiomCheck``, is the letter -> element dict of the lexicographically first
-failing assignment, so associativity's is the first failing triple.
+``table[regs[a]][regs[b]]``.  A word compiles as a left fold, one loop over
+its symbols, and a tree term by a post-order walk on an explicit stack that
+gathers the letters with the steps, one step per product.  A step's level
+is the last letter it reads, 0 for none, and the run nests one loop per
+letter: the loop of letter j runs only the steps of level j, so a step is
+redone only when a letter it reads changes.  A program lives in its
+``Identity``'s instance dict, as a ``functools.cached_property`` value does,
+so an identity object is compiled at most once and its runs find the
+program without hashing it: a cache keyed by the identity's value would
+hash both sides, a recursive walk of each tree, on every call, and keep
+one-off identities alive.  ``check_axioms`` parses its laws once per mode,
+so each is compiled once: the axiom texts of ``terms.AXIOM_TEXTS`` and, in
+associative mode, associativity first, as the tree law
+``((x>y)>z) = (x>(y>z))`` since flat words build it in.  Every witness,
+of ``satisfies`` and of each ``AxiomCheck``, is the letter -> element dict
+of the lexicographically first failing assignment, so associativity's is
+the first failing triple.
 
 The leading letters loop; the last m = ``_block_width(n, k)`` of k letters
 sweep as one block of byte lanes, one lane per assignment of them
@@ -68,7 +75,6 @@ from .terms import (
     Var,
     Word,
     Zero,
-    identity_letters,
     numbered_lines,
     parse_identity,
 )
@@ -304,41 +310,122 @@ def _block_differs(p, n, table, regs, lhs, rhs, block) -> bool:
     return True
 
 
-# The identities that recur are the few dozen of the bases and theorem lists;
-# a larger cache mostly keeps one-off identities alive for the collector.
-@lru_cache(maxsize=64)
+_PROGRAM = "_program"  # the key of an identity's program in its instance dict
+
+
 def _program(ident: Identity) -> tuple:
+    """The register program of ident, compiled on its first run and kept in
+    its instance dict, as ``functools.cached_property`` keeps a value: once
+    per Identity object, with no cache keyed by the identity's value, whose
+    key would cost a hash of both sides on every call."""
+    try:
+        return ident.__dict__[_PROGRAM]
+    except KeyError:
+        program = ident.__dict__[_PROGRAM] = _compile(ident)
+        return program
+
+
+def _compile(ident: Identity) -> tuple:
     """The register program (letters, levels, lhs register, rhs register,
     register count) of ident: levels[j] holds, in order, the steps
     (out, a, b) whose last letter read is letter j, directly or through
     earlier steps.  A hashable tuple, shared by every run of ident."""
-    letters = identity_letters(ident)
-    register = {letter: r for r, letter in enumerate(letters, 1)}
-    level = list(range(len(letters) + 1))  # of each register
-    levels = [[] for _ in level]
+    if ident.mode is Mode.IS:
+        return _compile_words(ident.lhs, ident.rhs)
+    return _compile_trees(ident.lhs, ident.rhs)
 
-    def step(a, b):
-        out = len(level)
-        j = level[a] if level[a] > level[b] else level[b]
-        level.append(j)
-        levels[j].append((out, a, b))
-        return out
 
-    def word(w):
-        acc = None
-        for ch in w:
-            r = 0 if ch == OMEGA else register[ch]
-            acc = r if acc is None else step(acc, r)
-        return acc
+def _compile_words(lhs: Word, rhs: Word) -> tuple:
+    """Words fold left to right.  Their letters are read off their text
+    first, so each step is made final, in one loop over each side's symbols:
+    a step's level is its fold's greatest letter register so far."""
+    letters = set(lhs).union(rhs)
+    letters.discard(OMEGA)
+    letters = tuple(sorted(letters))
+    out = len(letters) + 1
+    register = dict(zip(letters, range(1, out)))
+    register[OMEGA] = 0
+    levels = [[] for _ in range(out)]
+    sides = []
+    for w in (lhs, rhs):
+        acc = level = register[w[0]]
+        for symbol in w[1:]:
+            r = register[symbol]
+            if r > level:
+                level = r
+            levels[level].append((out, acc, r))
+            acc = out
+            out += 1
+        sides.append(acc)
+    return letters, tuple(map(tuple, levels)), *sides, out
 
-    def tree(t):
-        if isinstance(t, Arrow):
-            return step(tree(t.left), tree(t.right))
-        return register[t.name] if isinstance(t, Var) else 0
 
-    side = word if ident.mode is Mode.IS else tree
-    lhs, rhs = side(ident.lhs), side(ident.rhs)
-    return letters, tuple(map(tuple, levels)), lhs, rhs, len(level)
+def _compile_trees(lhs, rhs) -> tuple:
+    """Tree terms compile in post order.  One walk per side gathers the
+    letters and the steps together, so a step names its operands before the
+    registers are numbered: a letter, ``OMEGA`` for the constant or an
+    earlier step's index, and the greatest letter it reads, ``OMEGA`` (which
+    sorts below every letter) for none.  The steps are then numbered, in
+    order, after the sorted letters."""
+    steps: list = []
+    letters: set = set()
+    lhs, n = _tree_steps(lhs, steps, 0, letters)
+    rhs, n = _tree_steps(rhs, steps, n, letters)
+    letters = tuple(sorted(letters))
+    base = len(letters) + 1
+    register = dict(zip(letters, range(1, base)))
+    register[OMEGA] = 0
+    levels = [[] for _ in range(base)]
+    for out, (a, b, last) in enumerate(steps, base):
+        a = a + base if type(a) is int else register[a]
+        b = b + base if type(b) is int else register[b]
+        levels[register[last]].append((out, a, b))
+    lhs = lhs + base if type(lhs) is int else register[lhs]
+    rhs = rhs + base if type(rhs) is int else register[rhs]
+    return letters, tuple(map(tuple, levels)), lhs, rhs, base + n
+
+
+def _tree_steps(t, steps: list, n: int, letters: set) -> tuple:
+    """Append to steps the (a, b, last) of each product of t in post order,
+    numbered from n, and add its letters to letters; return t's operand and
+    the next step number.  An explicit stack holds each Arrow whose left
+    side is being walked and, as (operand, last), each walked left side
+    whose right side is: no recursion, at any depth.  The term classes are
+    final, so type tells them apart, faster than isinstance."""
+    stack = []
+    while True:
+        while type(t) is Arrow:
+            stack.append(t)
+            t = t.left
+        if type(t) is Var:
+            operand = last = t.name
+            letters.add(operand)
+        else:
+            operand = last = OMEGA
+        while stack:
+            top = stack.pop()
+            if type(top) is Arrow:  # its left side is operand
+                t = top.right
+                if type(t) is Arrow:
+                    stack.append((operand, last))
+                    break
+                if type(t) is Var:  # a leaf on the right closes the product at once
+                    b = t.name
+                    letters.add(b)
+                    if b > last:
+                        last = b
+                else:
+                    b = OMEGA
+                steps.append((operand, b, last))
+            else:  # a walked left side, and operand its right
+                a, left_last = top
+                if left_last > last:
+                    last = left_last
+                steps.append((a, operand, last))
+            operand = n
+            n += 1
+        else:
+            return operand, n
 
 
 def satisfies(a: FiniteAlgebra, ident) -> SatResult:
@@ -426,14 +513,15 @@ class AxiomReport:
 
 
 @lru_cache(maxsize=None)
-def _axiom_programs(mode: Mode) -> tuple:
-    """(name, register program) of each law of mode: in associative
-    mode first associativity, in tree syntax since flat words build it in,
-    then the defining identities, each named by its text."""
+def _axioms(mode: Mode) -> tuple:
+    """(name, identity) of each law of mode, parsed once, so each is
+    compiled once: in associative mode first associativity, in tree syntax
+    since flat words build it in, then the defining identities, each named
+    by its text."""
     laws = [(text, parse_identity(text, mode)) for text in AXIOM_TEXTS[mode]]
     if mode is Mode.IS:
         laws.insert(0, ("associativity", parse_identity("((x>y)>z) = (x>(y>z))", Mode.IZ)))
-    return tuple((name, _program(ident)) for name, ident in laws)
+    return tuple(laws)
 
 
 def check_axioms(a: FiniteAlgebra, mode: Mode) -> AxiomReport:
@@ -441,8 +529,8 @@ def check_axioms(a: FiniteAlgebra, mode: Mode) -> AxiomReport:
     identities in associative mode, the two defining identities in tree mode."""
     mode = Mode(mode)
     checks = []
-    for name, program in _axiom_programs(mode):
-        res = _run(a, program)
+    for name, ident in _axioms(mode):
+        res = _run(a, _program(ident))
         checks.append(AxiomCheck(name, res.holds, res.witness))
     return AxiomReport(mode, tuple(checks))
 

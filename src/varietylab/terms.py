@@ -208,14 +208,14 @@ ZERO = Zero()
 _VARS = {ch: Var(ch) for ch in _LETTERS}
 
 # The deepest tree term the parser accepts, counted in arrows on the longest
-# path from the root (a postfix prime is one arrow).  The parser and
-# term_letters walk a term with an explicit stack, but other walkers still
-# recurse (str, hash, equality, substitute_term, the evaluator, the register
-# compiler and the derivation checker's rewrite), and str takes three
-# interpreter frames per level.  A replayed derivation step substitutes
-# parsed terms into a parsed rule and puts the result inside a parsed term,
-# so its terms reach three times this depth; that still stays far below the
-# default recursion limit of 1000.
+# path from the root (a postfix prime is one arrow).  The parser,
+# term_letters and the register compiler of models walk a term with an
+# explicit stack, but other walkers still recurse (str, hash, equality,
+# substitute_term, the evaluator and the derivation checker's rewrite), and
+# str takes three interpreter frames per level.  A replayed derivation step
+# substitutes parsed terms into a parsed rule and puts the result inside a
+# parsed term, so its terms reach three times this depth; that still stays
+# far below the default recursion limit of 1000.
 MAX_TERM_DEPTH = 64
 
 

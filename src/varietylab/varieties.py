@@ -95,7 +95,22 @@ def registry() -> MappingProxyType:
             msg = f"generator {gname} violates basis of {v}: {ident} at {witness}"
             raise models.VerificationError(msg)
         records[v] = VarietyRecord(basis, generators)
+    _basis_positions.cache_clear()  # built anew from these records
     return MappingProxyType(records)
+
+
+@lru_cache(maxsize=1)
+def _basis_positions() -> tuple:
+    """The registry's distinct basis identities, in order of first
+    occurrence, and each variety with the positions of its basis identities
+    among them: variety_of keeps one verdict per position in a list."""
+    records = registry()
+    position: dict = {}
+    for rec in records.values():
+        for ident in rec.basis:
+            position.setdefault(ident, len(position))
+    bases = tuple((v, tuple(map(position.__getitem__, rec.basis))) for v, rec in records.items())
+    return tuple(position), bases
 
 
 def basis_failure(generators, basis):
@@ -249,15 +264,17 @@ def variety_of(a: models.FiniteAlgebra) -> Variety:
     report = models.check_axioms(a, Mode.IS)
     if not report.passed:
         raise models.AxiomViolationError(report)
-    # the bases share identities (xy = yx is in five), so each is evaluated once
-    holds = {}
+    # the bases share identities (xy = yx is in five), so each distinct one
+    # is evaluated at most once, its verdict kept by position
+    identities, bases = _basis_positions()
+    holds = [None] * len(identities)
 
-    def sat_one(ident):
-        if ident not in holds:
-            holds[ident] = models.satisfies(a, ident).holds
-        return holds[ident]
+    def sat_one(p):
+        if holds[p] is None:
+            holds[p] = models.satisfies(a, identities[p]).holds
+        return holds[p]
 
-    sat = [v for v, rec in registry().items() if all(map(sat_one, rec.basis))]
+    sat = [v for v, positions in bases if all(map(sat_one, positions))]
     least = [v for v in sat if all(generator_leq(v, w) for w in sat)]
     if len(least) != 1:
         raise models.VerificationError(

@@ -87,3 +87,37 @@ def test_a_failing_run_is_written_with_the_runs_before_it(pairs, tmp_path, monke
                                     "exit_code": 3, "stderr_tail": "boom: no census"}
     assert "summary" not in report
     assert "exited 3: boom: no census" in capsys.readouterr().err
+
+
+def test_verdicts_of_the_gain_rule_and_the_bound(pairs):
+    spec = json.loads(pairs.SPEC.read_text())
+    assert pairs.bounds(spec) == {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]  # IQR 1.5
+    cases = {
+        # name: (change runs, better, bound, gain, within bound)
+        "nine_wins": ([p - 5 for p in parent[:9]] + [parent[9] + 1], "lower", 0.25, True, True),
+        "eight_wins": ([p - 5 for p in parent[:8]] + [p + 1 for p in parent[8:]], "lower", 0.25, False, True),
+        "within_iqr": ([p - 0.1 for p in parent], "lower", 0.25, False, True),
+        "worse_in_bound": ([p * 1.2 for p in parent], "lower", 0.25, False, True),
+        "worse_beyond": ([p * 1.3 for p in parent], "lower", 0.25, False, False),
+        "higher_gain": ([p + 5 for p in parent], "higher", 0.1, True, True),
+        "higher_beyond": ([p * 0.85 for p in parent], "higher", 0.1, False, False),
+        "unbounded": ([p - 5 for p in parent], "lower", None, True, None),
+    }
+    runs = []
+    for seed, p in enumerate(parent):
+        for side in ("parent", "change"):
+            metrics = {name: p if side == "parent" else case[0][seed] for name, case in cases.items()}
+            runs.append({"workload": "queries", "side": side, "seed": seed, "failed": 0,
+                         "attempted": 1, "correct": True, "metrics": metrics})
+    better = {name: case[1] for name, case in cases.items()}
+    bound = {name: case[2] for name, case in cases.items() if case[2] is not None}
+    entry = pairs.summarize(runs, better, bound)["queries"]
+    assert entry["nine_wins"]["parent_iqr"] == 1.5
+    for name, (_, _, _, gain, within) in cases.items():
+        assert (entry[name]["gain"], entry[name]["within_bound"]) == (gain, within), name
+    line, = pairs.describe({"queries": entry})
+    assert "parent IQR 1.5): gain, within bound;" in line
+    assert ("worse_beyond median 100.0 -> 130.0 (+30.0%, change better in 0 of 10; "
+            "parent IQR 1.5): no gain, beyond bound;") in line
+    assert "unbounded median 100.0 -> 95.0 (-5.0%, change better in 10 of 10; parent IQR 1.5): gain;" in line

@@ -1,10 +1,14 @@
+import copy
+import functools
 import itertools
+import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
 
-from varietylab import models
+from varietylab import models, varieties
 from varietylab.models import (
     AxiomViolationError,
     BUILTIN_NAMES,
@@ -25,7 +29,21 @@ from varietylab.models import (
     subdirect_check,
     word_value_classes,
 )
-from varietylab.terms import Mode, Word, parse_identity, parse_term
+from varietylab.terms import (
+    MAX_TERM_DEPTH,
+    OMEGA,
+    ZERO,
+    Arrow,
+    Identity,
+    Mode,
+    Var,
+    Word,
+    ParseError,
+    Zero,
+    identity_letters,
+    parse_identity,
+    parse_term,
+)
 
 IS_BUILTINS = ("trivial", "A", "B", "K", "L", "M", "Z", "BxK_mod_I")
 
@@ -389,6 +407,207 @@ def test_a_register_program_is_a_hashable_value():
         program = models._program(ident)
         assert hash(program) == hash(models._program(ident))
         assert program[0] == ("x", "y", "z")  # its letters
+
+
+def _reference_program(ident):
+    """The register program by the closure compiler that recurses over a
+    tree: the letters walked first, then one step per product."""
+    letters = identity_letters(ident)
+    register = {letter: r for r, letter in enumerate(letters, 1)}
+    level = list(range(len(letters) + 1))  # of each register
+    levels = [[] for _ in level]
+
+    def step(a, b):
+        out = len(level)
+        j = level[a] if level[a] > level[b] else level[b]
+        level.append(j)
+        levels[j].append((out, a, b))
+        return out
+
+    def word(w):
+        acc = None
+        for ch in w:
+            r = 0 if ch == OMEGA else register[ch]
+            acc = r if acc is None else step(acc, r)
+        return acc
+
+    def tree(t):
+        if isinstance(t, Arrow):
+            return step(tree(t.left), tree(t.right))
+        return register[t.name] if isinstance(t, Var) else 0
+
+    side = word if ident.mode is Mode.IS else tree
+    lhs, rhs = side(ident.lhs), side(ident.rhs)
+    return letters, tuple(map(tuple, levels)), lhs, rhs, len(level)
+
+
+def _random_term(rng, depth, leaves="xyzw0"):
+    """A random tree term at most depth arrows deep."""
+    if depth == 0 or rng.random() < 0.25:
+        leaf = rng.choice(leaves)
+        return ZERO if leaf == "0" else Var(leaf)
+    if rng.random() < 0.2:
+        return Arrow(_random_term(rng, depth - 1, leaves), ZERO)  # a prime
+    return Arrow(_random_term(rng, depth - 1, leaves), _random_term(rng, depth - 1, leaves))
+
+
+def _deep_term(rng, depth):
+    """A tree term exactly depth arrows deep: a random path from the root,
+    each arrow off it with a small random side no deeper than the path below."""
+    t = rng.choice((ZERO, Var("x"), Var("v")))
+    for i in range(depth):
+        side = _random_term(rng, min(2, i))
+        t = Arrow(t, side) if rng.random() < 0.5 else Arrow(side, t)
+    return t
+
+
+def _random_identities(seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(300):
+        u, w = ("".join(rng.choices("vwxyzO", k=rng.randint(1, 12))) for _ in range(2))
+        out.append(Identity(Word(u), Word(w), Mode.IS))
+        out.append(Identity(_random_term(rng, 5), _random_term(rng, 5), Mode.IZ))
+    return out
+
+
+def _deep_identities(seed):
+    rng = random.Random(seed)
+    primed = parse_term("x" + "'" * MAX_TERM_DEPTH)
+    nested = parse_term("(" * MAX_TERM_DEPTH + "x" + ">y)" * MAX_TERM_DEPTH)
+    right = parse_term("(z>" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH)
+    out = [Identity(primed, nested, Mode.IZ), Identity(right, ZERO, Mode.IZ)]
+    for _ in range(20):
+        out.append(Identity(_deep_term(rng, MAX_TERM_DEPTH), _random_term(rng, 3), Mode.IZ))
+        lhs = _deep_term(rng, rng.randint(1, MAX_TERM_DEPTH))
+        out.append(Identity(lhs, _deep_term(rng, MAX_TERM_DEPTH), Mode.IZ))
+    return out
+
+
+def _frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_compiled_programs_equal_the_recursive_reference():
+    for ident in _random_identities(38):
+        assert models._compile(ident) == _reference_program(ident), ident
+    deep = _deep_identities(38)
+    # each within the parser's bound, with a side at it: one arrow above both is too deep
+    for ident in deep:
+        assert parse_identity(str(ident), Mode.IZ) == ident
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_term(f"({ident.lhs}>{ident.rhs})")
+    want = [_reference_program(ident) for ident in deep]
+    # a few frames above this one: the reference recurses once per arrow
+    # and fails, the compiler walks on its explicit stack
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 20)
+    try:
+        got = [models._compile(ident) for ident in deep]
+        with pytest.raises(RecursionError):
+            _reference_program(deep[0])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+
+
+def _empty_cache(monkeypatch, module, name):
+    # the cached function of module under a new, empty cache, for this test only
+    cached = getattr(module, name)
+    fresh = functools.lru_cache(cached.cache_parameters()["maxsize"])(cached.__wrapped__)
+    monkeypatch.setattr(module, name, fresh)
+
+
+def test_an_identity_is_compiled_once_and_keeps_its_program(monkeypatch):
+    compiled = []
+    compile_ = models._compile
+
+    def counting_compile(ident):
+        compiled.append(ident)
+        return compile_(ident)
+
+    monkeypatch.setattr(models, "_compile", counting_compile)
+    word = parse_identity("xyz = zOxyzOO")
+    tree = parse_identity("((x>y)>z) = ((z'>x)>(y>z)')'", Mode.IZ)
+    algebras = [builtin(name) for name in ("trivial", "2s", "K", "BxK_mod_I")]
+    first = [satisfies(a, ident) for a in algebras for ident in (word, tree)]
+    for _ in range(3):
+        assert [satisfies(a, ident) for a in algebras for ident in (word, tree)] == first
+    assert list(map(id, compiled)) == [id(word), id(tree)]
+    # check_axioms: each law parsed and compiled once per mode
+    _empty_cache(monkeypatch, models, "_axioms")
+    compiled.clear()
+    for _ in range(3):
+        for a in algebras:
+            check_axioms(a, Mode.IS)
+            check_axioms(a, Mode.IZ)
+    assert len(compiled) == len(set(map(id, compiled))) == 5
+    # variety_of: with the registry built anew, no basis identity compiled twice
+    for name in ("registry", "separation", "_basis_positions"):
+        _empty_cache(monkeypatch, varieties, name)
+    compiled.clear()
+    pairs = itertools.product(("A", "B", "K", "M"), repeat=2)
+    products = [direct_product(builtin(u), builtin(v)) for u, v in pairs]
+    kinds = [varieties.variety_of(a) for a in products]
+    assert compiled and len(compiled) == len(set(map(id, compiled)))
+    seen = len(compiled)
+    assert [varieties.variety_of(a) for a in products] == kinds
+    assert len(compiled) == seen
+
+
+def test_an_identity_holding_its_program_pickles_copies_and_compares_as_before():
+    for text, mode in (("xyz = zOxyzOO", Mode.IS), ("((x>y)>z) = ((z'>x)>(y>z)')'", Mode.IZ)):
+        ident, fresh = parse_identity(text, mode), parse_identity(text, mode)
+        program = models._program(ident)
+        assert "_program" not in vars(fresh)
+        # two equal identities parsed apart compile to equal programs
+        assert models._compile(fresh) == program
+        for copied in (pickle.loads(pickle.dumps(ident)), copy.deepcopy(ident), copy.copy(ident)):
+            assert copied == ident == fresh and hash(copied) == hash(ident) == hash(fresh)
+            assert repr(copied) == repr(fresh) and str(copied) == text
+            assert models._program(copied) == program
+        assert satisfies(builtin("K"), ident) == satisfies(builtin("K"), fresh)
+
+
+def _refuse(*args):
+    raise AssertionError("a term or an identity was hashed or compared")
+
+
+def _first_failure(a, ident):
+    """(holds, witness) by evaluate over the assignments in lexicographic
+    order; it neither hashes nor compares a term."""
+    letters = identity_letters(ident)
+    for values in itertools.product(range(a.order), repeat=len(letters)):
+        asg = dict(zip(letters, values))
+        if evaluate(a, ident.lhs, asg) != evaluate(a, ident.rhs, asg):
+            return False, asg
+    return True, None
+
+
+def test_satisfies_check_axioms_and_variety_of_never_hash_or_compare_a_term(monkeypatch):
+    rng = random.Random(3801)
+    tree_algebras = [builtin(name) for name in ("trivial", "Z", "2s", "2b")]
+    # orders 4 and 9: the packed block, under a leading loop at order 9 for four letters
+    for n in (4, 9):
+        tree_algebras.append(make_algebra([[rng.randrange(n) for _ in range(n)] for _ in range(n)], 0))
+    idents = [Identity(_random_term(rng, 4), _random_term(rng, 4), Mode.IZ) for _ in range(60)]
+    idents += _deep_identities(3802)[:4]
+    want = [_first_failure(a, ident) for a in tree_algebras for ident in idents]
+    axioms = [check_axioms(a, "iz") for a in tree_algebras]
+    pairs = itertools.combinations(("A", "B", "K", "L", "M", "Z"), 2)
+    products = [direct_product(builtin(u), builtin(v)) for u, v in pairs]
+    kinds = [varieties.variety_of(a) for a in products]  # the registry and its positions built here
+    _empty_cache(monkeypatch, models, "_axioms")
+    for cls in (Arrow, Var, Zero, Identity):
+        monkeypatch.setattr(cls, "__hash__", _refuse)
+        monkeypatch.setattr(cls, "__eq__", _refuse)
+    got = [satisfies(a, ident) for a in tree_algebras for ident in idents]
+    assert [(r.holds, r.witness) for r in got] == want
+    assert [check_axioms(a, "iz") for a in tree_algebras] == axioms
+    assert [varieties.variety_of(a) for a in products] == kinds
 
 
 # letters swept as one block, by order, for identities in 3 and in 7 letters:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varietylab import models, varieties, verify
+from varietylab.enumeration import enumerate_algebras
 from varietylab.terms import (
     Identity,
     Mode,
@@ -252,8 +253,11 @@ def test_variety_of_evaluates_each_distinct_identity_once(monkeypatch):
         models.direct_product(models.builtin(a), models.builtin(b))
         for a, b in itertools.combinations_with_replacement(ASSOCIATIVE_BUILTINS, 2)
     ]
-    assert len(algebras) == 9 + 28
+    algebras += enumerate_algebras(4, Mode.IS).algebras
+    assert len(algebras) == 9 + 28 + 26
     want = [_variety_of_per_variety_loop(a) for a in algebras]
+    distinct = len(varieties._basis_positions()[0])
+    assert distinct == 10
     calls = []
     satisfies = models.satisfies
 
@@ -261,11 +265,22 @@ def test_variety_of_evaluates_each_distinct_identity_once(monkeypatch):
         calls.append(ident)
         return satisfies(a, ident)
 
+    sweeps = []
+    run = models._run
+
+    def counting_run(a, program):
+        sweeps.append(program)
+        return run(a, program)
+
     monkeypatch.setattr(models, "satisfies", counting_satisfies)
+    monkeypatch.setattr(models, "_run", counting_run)
     for a, v in zip(algebras, want):
         calls.clear()
+        sweeps.clear()
         assert variety_of(a) is v
-        assert len(calls) == len(set(calls)) <= 10
+        assert len(calls) == len(set(calls)) <= distinct
+        # the three associative-mode axioms, then one sweep per basis identity evaluated
+        assert len(sweeps) == 3 + len(calls)
 
 
 def test_variety_of_rejects_non_algebra(monkeypatch):

@@ -18,7 +18,14 @@ It writes ``BENCH_<N>.json`` into the current directory, naming each side by
 its checkout directory: every run, and per workload and metric the quartiles
 of each side, the relative change of the medians, the parent's interquartile
 range and the number of pairs the change won, with the direction of each
-metric read from ``BENCHMARK.json``.  If a run exits non-zero, it stops
+metric read from ``BENCHMARK.json``.  Each metric also gets two verdicts.
+``gain`` is whether the change meets the rule for claiming a gain: better
+in at least nine tenths of the pairs, ties counting for neither side, and
+its median better than the parent's by more than the parent's IQR.
+``within_bound`` is whether the change's median is no worse than the
+parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, as a
+fraction of the parent's median; it is null for a metric with no bound.
+``BENCHMARK.json`` is only read.  If a run exits non-zero, it stops
 there: the file then holds the runs made so far and, as ``failed_run``, the
 failing one's workload, seed, side, exit code and stderr tail, with no
 summary, and the tool exits 1.
@@ -41,6 +48,12 @@ SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 def directions(spec: dict) -> dict:
     """Metric name -> "lower" or "higher", for the end-to-end metrics."""
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def bounds(spec: dict) -> dict:
+    """Metric name -> the fraction of the parent's median by which the
+    change's median may be worse, for the end-to-end metrics."""
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def schedule(workloads, pairs: int, first_seed: int) -> list:
@@ -77,12 +90,18 @@ def _quartiles(values: list) -> list:
     return [round(q1, 4), round(median, 4), round(q3, 4)]
 
 
-def summarize(runs: list, better: dict) -> dict:
+# a gain is claimed only when the change wins at least this share of the pairs
+GAIN_PAIR_SHARE = 0.9
+
+
+def summarize(runs: list, better: dict, bound: dict | None = None) -> dict:
     """Per workload: the seed range, the pair count, the failures and, per
     metric, each side's quartiles and runs, the relative change of the
-    medians, the parent's IQR and the pairs (same seed) the change won.  A
-    tie wins for neither side.  Metrics absent from better count lower as
-    better."""
+    medians, the parent's IQR, the pairs (same seed) the change won and the
+    two verdicts, ``gain`` and ``within_bound`` (null for a metric absent
+    from bound).  A tie wins for neither side.  Metrics absent from better
+    count lower as better."""
+    bound = bound or {}
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -94,12 +113,17 @@ def summarize(runs: list, better: dict) -> dict:
             change = [side["change"][s]["metrics"][name] for s in seeds]
             sign = -1 if better.get(name, "lower") == "higher" else 1
             parent_q, change_q = _quartiles(parent), _quartiles(change)
+            wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+            worse_by = sign * (change_q[1] / parent_q[1] - 1)  # negative when better
             entry[name] = {
                 "parent_q1_median_q3": parent_q,
                 "change_q1_median_q3": change_q,
-                "change_better_pairs": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+                "change_better_pairs": wins,
                 "median_change": round(change_q[1] / parent_q[1] - 1, 4),
                 "parent_iqr": round(parent_q[2] - parent_q[0], 4),
+                "gain": wins >= GAIN_PAIR_SHARE * len(seeds)
+                and sign * (parent_q[1] - change_q[1]) > parent_q[2] - parent_q[0],
+                "within_bound": worse_by <= bound[name] if name in bound else None,
                 "parent_runs": parent,
                 "change_runs": change,
             }
@@ -118,10 +142,13 @@ def describe(summary: dict) -> list:
         parts = []
         for name, m in entry.items():
             if isinstance(m, dict):
+                verdicts = "gain" if m["gain"] else "no gain"
+                if m["within_bound"] is not None:
+                    verdicts += ", within bound" if m["within_bound"] else ", beyond bound"
                 parts.append(
                     f"{name} median {m['parent_q1_median_q3'][1]} -> {m['change_q1_median_q3'][1]} "
                     f"({m['median_change']:+.1%}, change better in {m['change_better_pairs']} "
-                    f"of {entry['pairs']}; parent IQR {m['parent_iqr']})")
+                    f"of {entry['pairs']}; parent IQR {m['parent_iqr']}): {verdicts}")
         parts.append(f"failed {entry['parent_failed']} of {entry['parent_attempted']} -> "
                      f"{entry['change_failed']} of {entry['change_attempted']}")
         lines.append(f"{workload}: " + "; ".join(parts))
@@ -168,7 +195,7 @@ def main(argv=None) -> int:
             return 1
         runs.append(record)
         print(f"{workload} seed {seed} {side}: {record['metrics']}", file=sys.stderr)
-    summary = summarize(runs, directions(spec))
+    summary = summarize(runs, directions(spec), bounds(spec))
     report.update(notes=describe(summary), summary=summary, runs=runs)
     out.write_text(json.dumps(report, indent=1) + "\n")
     print("\n".join(describe(summary)))
